@@ -29,11 +29,12 @@ from .models import (
     MetricKind,
     ModelSpec,
     ValidatedModel,
+    independent_counterpart,
     mask_to_subset,
     series_metric,
     validate_model,
 )
-from .parallel import parallel_relative_error, parallel_sf_ie
+from .parallel import _relative_to_independent, parallel_sf_ie
 from .simulate import RngPolicy, estimate_system_sf
 
 EXIT_OK = 0
@@ -154,6 +155,15 @@ def _grid_from_dict(data: dict) -> GridSpec:
         raise ConfigError(f"grid: {exc}") from exc
 
 
+def _metric_from(name) -> MetricKind | None:
+    if name is None:
+        return None
+    try:
+        return MetricKind(name)
+    except ValueError:
+        raise ConfigError(f"metric: unknown metric {name!r}") from None
+
+
 def parse_config(path) -> RunConfig:
     """Parse a self-contained run configuration file."""
     try:
@@ -173,18 +183,12 @@ def parse_config(path) -> RunConfig:
         if key not in data:
             raise ConfigError(f"{key}: missing")
     model = model_from_dict({k: v for k, v in data.items() if k in _MODEL_KEYS})
-    metric = None
-    if data.get("metric") is not None:
-        try:
-            metric = MetricKind(data["metric"])
-        except ValueError:
-            raise ConfigError(f"metric: unknown metric {data['metric']!r}") from None
     return RunConfig(
         command=data["command"],
         model=model,
         grid=_grid_from_dict(data["grid"]),
         output=str(data["output"]),
-        metric=metric,
+        metric=_metric_from(data.get("metric")),
         samples=data.get("samples"),
         seed=data.get("seed"),
         structure=data.get("structure", "series"),
@@ -280,11 +284,13 @@ def _run_classify(config: RunConfig) -> str:
 
 
 def _run_parallel(config: RunConfig) -> str:
+    indep = independent_counterpart(config.model)
     rows = []
     for t in config.grid.points():
         t = float(t)
         result = parallel_sf_ie(config.model, t)
-        rel = parallel_relative_error(config.model, t)
+        ind = parallel_sf_ie(indep, t).sf_ie
+        rel = _relative_to_independent(result.sf_ie, ind, t)
         rows.append([t, result.sf_ie, result.sf_closed, rel])
     return _csv(["t", "sf_ie", "sf_closed", "rel_err"], rows)
 
@@ -380,8 +386,9 @@ def build_config(argv: list[str]) -> RunConfig:
     else:
         raise ConfigError("grid: missing (provide --grid or a grid in the config)")
 
-    metric_name = args.metric if args.metric is not None else data.get("metric")
-    metric = MetricKind(metric_name) if metric_name is not None else None
+    metric = _metric_from(
+        args.metric if args.metric is not None else data.get("metric")
+    )
 
     output = args.output if args.output is not None else data.get("output")
     if output is None:

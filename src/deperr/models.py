@@ -115,7 +115,13 @@ class SubsetRates:
                 mask = subset_to_mask(key, n)
                 if mask == 0:
                     raise ValidationError(f"rates[{key!r}]: empty subset")
-            rate = float(value)
+            try:
+                rate = float(value)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"rates[{mask_to_subset(mask)}]: lambda must be a number, "
+                    f"got {value!r}"
+                ) from None
             if math.isnan(rate) or rate < 0:
                 raise ValidationError(
                     f"rates[{mask_to_subset(mask)}]: negative rate {value}"
@@ -177,6 +183,15 @@ class SubsetRates:
         for row, (mask, _) in enumerate(self.items):
             mat[row, list(mask_members(mask))] = True
         return mat
+
+    @cached_property
+    def interaction_members(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """(0-based member indices, rate) of each rated subset of size >= 2."""
+        return tuple(
+            (np.array(mask_members(mask)), rate)
+            for mask, rate in self.items
+            if mask.bit_count() > 1
+        )
 
     def max_order(self) -> int:
         return max((mask.bit_count() for mask, _ in self.items), default=0)
@@ -385,37 +400,61 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
 # ---------------------------------------------------------------------------
 
 
-def _joint_hazard(model: ValidatedModel, x: np.ndarray) -> float:
-    """Joint cumulative hazard -ln F_bar(x_1,...,x_n)."""
+def _dot(weights: np.ndarray, v: np.ndarray):
+    """sum_i w_i v_i: a float for one point, row-wise (k,) for a (k, n) batch."""
+    if v.ndim == 1:
+        return float(np.dot(weights, v))
+    return v @ weights
+
+
+def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc, fill: float):
+    """sum over rated subsets T of lambda_T * reduce_{i in T} v_i.
+
+    One point reduces the masked (subsets, n) matrix in one go.  A (k, n)
+    batch takes the singletons as one matrix-vector product and then adds
+    each larger subset from its members' columns: O(k * sum |T|) work and
+    no (k, subsets, n) temporary.
+    """
+    if v.ndim == 1:
+        vals = reduce.reduce(np.where(rates.member_matrix, v, fill), axis=1)
+        return float(np.dot(rates.rate_array, vals))
+    cols = v.T
+    h = v @ rates.singleton_vector
+    for members, rate in rates.interaction_members:
+        h += rate * reduce.reduce(cols[members], axis=0)
+    return h
+
+
+def _joint_hazard(model: ValidatedModel, x: np.ndarray):
+    """Joint cumulative hazard -ln F_bar(x_1,...,x_n).
+
+    `x` is one point of shape (n,), giving a float, or a batch of shape
+    (k, n), giving a (k,) array with one hazard per row.
+    """
     fam = model.family
     rates = model.rates
     if fam is Family.INDEP_EXP:
-        return float(np.dot(rates.singleton_vector, x))
+        return _dot(rates.singleton_vector, x)
     if fam is Family.MOME:
-        vals = np.where(rates.member_matrix, x, -np.inf).max(axis=1)
-        return float(np.dot(rates.rate_array, vals))
+        return _shock_sum(rates, x, np.maximum, -np.inf)
     if fam is Family.MG1:
-        prods = np.prod(np.where(rates.member_matrix, x, 1.0), axis=1)
-        return float(np.dot(rates.rate_array, prods))
+        return _shock_sum(rates, x, np.multiply, 1.0)
     if fam is Family.INDEP_WEIBULL:
-        return float(np.dot(rates.singleton_vector, x ** model._shape_vector))
+        return _dot(rates.singleton_vector, x ** model._shape_vector)
     if fam is Family.MOMW:
-        powered = x ** model._shape_vector
-        vals = np.where(rates.member_matrix, powered, -np.inf).max(axis=1)
-        return float(np.dot(rates.rate_array, vals))
+        return _shock_sum(rates, x ** model._shape_vector, np.maximum, -np.inf)
     if fam in (Family.CROWDER, Family.LEE_II):
-        s = float(np.dot(rates.singleton_vector, x ** model._shape_vector))
+        s = _dot(rates.singleton_vector, x ** model._shape_vector)
         g, ell = model.gamma, model.stable_exponent
         return (g + s) ** ell - g**ell
     if fam is Family.LEE_ML:
         powered = model._scale_powers * x**model.alpha
-        vals = np.where(rates.member_matrix, powered, -np.inf).max(axis=1)
-        return float(np.dot(rates.rate_array, vals))
+        return _shock_sum(rates, powered, np.maximum, -np.inf)
     if fam is Family.LU_BI:
         lam = rates.singleton_vector
         al = model._shape_vector
-        base = float(np.dot(lam, x**al))
-        u = float(np.sum(lam ** (1.0 / model.m) * x ** (al / model.m)))
+        base = _dot(lam, x**al)
+        u = _dot(lam ** (1.0 / model.m), x ** (al / model.m))
         return base + model.delta * u**model.m
     raise AssertionError(f"unhandled family {fam}")
 
@@ -427,7 +466,7 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
         raise DomainError(
             f"x must have length {model.n}, got shape {vec.shape}"
         )
-    if np.any(vec < 0) or np.any(np.isnan(vec)):
+    if not (vec >= 0).all():  # also catches NaN
         raise DomainError("x coordinates must be nonnegative")
     return clamp_unit(math.exp(-_joint_hazard(model, vec)))
 

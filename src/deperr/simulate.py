@@ -15,6 +15,7 @@ the work is scheduled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,10 @@ def estimate_system_sf(
 
 
 def _log_sf(model: ValidatedModel, t: float) -> float:
+    # A subnormal SF (H > 708) has lost relative precision, so its log is
+    # too coarse to difference; treat it like an underflow to 0.
     sf = series_metric(model, MetricKind.SF, t)
-    if sf <= 0.0 or sf >= 1.0:
+    if sf < sys.float_info.min or sf >= 1.0:
         raise SingularityError(
             f"series survival saturates at t={t}; shrink the stencil or move t"
         )

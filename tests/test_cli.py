@@ -122,6 +122,19 @@ class TestExitCodes:
         )
         assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
 
+    def test_bad_metric_in_config(self, tmp_path, capsys):
+        data = base_config(tmp_path, command="errors", metric="zz")
+        path = write_config(tmp_path, "bad.json", data)
+        assert main(["errors", "--model", str(path)]) == EXIT_CONFIG
+        assert "metric" in capsys.readouterr().err
+
+    def test_non_numeric_lambda(self, tmp_path, capsys):
+        data = base_config(tmp_path)
+        data["rates"][0]["lambda"] = "x"
+        path = write_config(tmp_path, "bad.json", data)
+        assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
+        assert "lambda" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert (
             main(["eval", "--model", str(tmp_path / "nope.json")])

@@ -20,6 +20,7 @@ from deperr import (
     series_metric,
     validate_model,
 )
+from deperr.models import _joint_hazard
 from deperr.simulate import finite_diff_metric
 
 from conftest import ALL_FAMILIES, random_model
@@ -119,6 +120,18 @@ class TestJointSF:
                 bumped = x.copy()
                 bumped[i] += rng.uniform(0.01, 1.0)
                 assert joint_sf(m, bumped) <= joint_sf(m, x) + 1e-12
+
+    def test_batch_matches_rows(self, rng):
+        # The batch path sums singletons before larger subsets, the
+        # one-point path in subset order: equal up to a few roundings.
+        for family in ALL_FAMILIES:
+            m = random_model(family, 5, rng)
+            x = rng.uniform(0.0, 3.0, size=(40, 5))
+            x[rng.random(x.shape) < 0.3] = 0.0
+            batch = _joint_hazard(m, x)
+            assert batch.shape == (40,)
+            rows = np.array([_joint_hazard(m, row) for row in x])
+            np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0)
 
 
 class TestSeriesMetrics:

@@ -9,6 +9,7 @@ from deperr import (
     DomainError,
     MetricKind,
     ModelSpec,
+    joint_sf,
     parallel_relative_error,
     parallel_sf_closed,
     parallel_sf_ie,
@@ -137,3 +138,52 @@ def test_t_nonpositive_rejected(rng):
     m = random_model("MOME", 2, rng)
     with pytest.raises(DomainError):
         parallel_sf_ie(m, 0.0)
+
+
+def reference_sf_ie(model, t):
+    """The loop form: one joint_sf call per nonempty subset, summed by fsum."""
+    terms = []
+    for mask in range(1, 1 << model.n):
+        x = [t if mask >> i & 1 else 0.0 for i in range(model.n)]
+        sign = 1.0 if mask.bit_count() % 2 else -1.0
+        terms.append(sign * joint_sf(model, x))
+    return min(max(math.fsum(terms), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_matches_per_subset_loop(family, rng):
+    # Same terms up to the hazard's summation order, so a few ulps each.
+    for n in range(1, 9):
+        for _ in range(3):
+            m = random_model(family, n, rng, require_interaction=n > 1)
+            for t in (0.2, 0.7, 1.5, 3.0):
+                assert abs(parallel_sf_ie(m, t).sf_ie
+                           - reference_sf_ie(m, t)) <= 1e-13
+
+
+@pytest.mark.parametrize("family", ["IndepExp", "MOME", "MG1"])
+def test_error_bound_covers_closed_form_gap(family, rng):
+    for n in range(1, 11):
+        m = random_model(family, n, rng, require_interaction=n > 1)
+        for t in (0.05, 0.2, 0.7, 1.5, 3.0):
+            result = parallel_sf_ie(m, t)
+            assert result.error_bound > 0.0
+            assert abs(result.sf_ie - result.sf_closed) <= 2 * result.error_bound
+
+
+def test_mome_twenty_components():
+    n = 20
+    rates = {(i,): 0.2 for i in range(1, n + 1)}
+    rates.update({(1, 2): 0.05, (3, 4, 5): 0.05, tuple(range(1, n + 1)): 0.02})
+    m = validate_model(ModelSpec("MOME", n, rates))
+    result = parallel_sf_ie(m, 1.0)
+    assert result.terms_evaluated == 2**n - 1
+    assert abs(result.sf_ie - result.sf_closed) <= 1e-10
+
+
+def test_mg1_huge_t_underflows_to_zero():
+    m = validate_model(ModelSpec("MG1", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.3}))
+    with np.errstate(over="ignore"):
+        result = parallel_sf_ie(m, 1e200)
+    assert result.sf_ie == 0.0
+    assert result.sf_closed == 0.0

@@ -12,6 +12,7 @@ from deperr import (
     MetricKind,
     ModelSpec,
     RngPolicy,
+    SingularityError,
     estimate_system_sf,
     finite_diff_metric,
     parallel_sf_ie,
@@ -185,6 +186,15 @@ class TestFiniteDifference:
                 fd = finite_diff_metric(m, MetricKind.RHR, t)
                 closed = series_metric(m, MetricKind.RHR, t)
                 assert fd == pytest.approx(closed, rel=1e-5)
+
+    def test_subnormal_sf_rejected(self):
+        # H = 740 > 708: SF is subnormal and its log too coarse to difference
+        m = validate_model(ModelSpec("IndepExp", 1, {(1,): 1.0}))
+        assert finite_diff_metric(m, MetricKind.FR, 700.0) == pytest.approx(
+            1.0, rel=1e-5
+        )
+        with pytest.raises(SingularityError):
+            finite_diff_metric(m, MetricKind.FR, 740.0)
 
     def test_bad_step_rejected(self, rng):
         m = random_model("MOME", 2, rng)
