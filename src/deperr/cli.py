@@ -34,7 +34,7 @@ from .models import (
     series_metric,
     validate_model,
 )
-from .parallel import _relative_to_independent, parallel_sf_ie
+from .parallel import _ie_sum, _relative_to_independent, parallel_sf_ie
 from .simulate import RngPolicy, estimate_system_sf
 
 EXIT_OK = 0
@@ -289,7 +289,7 @@ def _run_parallel(config: RunConfig) -> str:
     for t in config.grid.points():
         t = float(t)
         result = parallel_sf_ie(config.model, t)
-        ind = parallel_sf_ie(indep, t).sf_ie
+        ind, _ = _ie_sum(indep, t)
         rel = _relative_to_independent(result.sf_ie, ind, t)
         rows.append([t, result.sf_ie, result.sf_closed, rel])
     return _csv(["t", "sf_ie", "sf_closed", "rel_err"], rows)
@@ -306,7 +306,7 @@ def _run_simulate(config: RunConfig) -> str:
         if config.structure == "series":
             analytic = series_metric(config.model, MetricKind.SF, t)
         else:
-            analytic = parallel_sf_ie(config.model, t).sf_ie
+            analytic, _ = _ie_sum(config.model, t)
         rows.append([t, est.value, est.stderr, est.n_samples, analytic])
     return _csv(["t", "estimate", "stderr", "n", "analytic"], rows)
 

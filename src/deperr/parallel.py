@@ -80,8 +80,8 @@ def _mask_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield masks, np.where(parity & 1, 1.0, -1.0)
 
 
-def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
-    """Inclusion-exclusion parallel survival P(max_i X_i > t)."""
+def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
+    """(sf_ie, error_bound) of `parallel_sf_ie`, without the compact form."""
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
     bits = 1 << np.arange(model.n, dtype=np.int64)
@@ -90,9 +90,7 @@ def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
 
     def chunk_terms() -> Iterator[list[float]]:
         for masks, signs in _mask_chunks(model.n):
-            members = (masks[:, None] & bits) != 0
-            # the points t * 1_S; where() only for t = inf, as inf * 0 is nan
-            x = members * t if t < math.inf else np.where(members, t, 0.0)
+            x = np.where((masks[:, None] & bits) != 0, t, 0.0)  # t * 1_S
             hazard = _joint_hazard(model, x)
             sf = np.minimum(np.exp(-hazard), 1.0)
             weight = 3.0 + kappa * np.where(sf > 0.0, hazard, 0.0)
@@ -100,12 +98,18 @@ def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
             yield (signs * sf).tolist()
 
     value = clamp_unit(math.fsum(chain.from_iterable(chunk_terms())))
+    return value, 0.5 * sys.float_info.epsilon * math.fsum(weighted)
+
+
+def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
+    """Inclusion-exclusion parallel survival P(max_i X_i > t)."""
+    value, bound = _ie_sum(model, t)
     return ParallelResult(
         t=t,
         sf_ie=value,
         sf_closed=parallel_sf_closed(model, t),
         terms_evaluated=(1 << model.n) - 1,
-        error_bound=0.5 * sys.float_info.epsilon * math.fsum(weighted),
+        error_bound=bound,
     )
 
 
@@ -161,6 +165,6 @@ def _relative_to_independent(dep: float, ind: float, t: float) -> float:
 
 def parallel_relative_error(model: ValidatedModel, t: float) -> float:
     """Relative error of the parallel survival under assumed independence."""
-    dep = parallel_sf_ie(model, t).sf_ie
-    ind = parallel_sf_ie(independent_counterpart(model), t).sf_ie
+    dep, _ = _ie_sum(model, t)
+    ind, _ = _ie_sum(independent_counterpart(model), t)
     return _relative_to_independent(dep, ind, t)
