@@ -30,7 +30,7 @@ def cases():
         validate_model(
             ModelSpec("MOMW", 3, rates, shapes=(0.8, 1.4, 2.0))
         ),
-        (1.0, 1.4, 2.0),  # diagonal form matches the sampler for t >= 1
+        (0.2, 0.5, 1.0, 1.4, 2.0),  # both sides of the exponent switch at 1
     )
     yield (
         validate_model(

@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import classify_aging, closed_form_error, error_curve
 from .exceptions import (
     CapabilityError,
@@ -29,8 +31,10 @@ from .models import (
     MetricKind,
     ModelSpec,
     ValidatedModel,
+    _metric_values,
     independent_counterpart,
     mask_to_subset,
+    series_hazard,
     series_metric,
     validate_model,
 )
@@ -233,7 +237,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str], rows: list) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -241,35 +245,27 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _run_eval(config: RunConfig) -> str:
-    rows = []
-    for t in config.grid.points():
-        t = float(t)
-        rows.append(
-            [t]
-            + [
-                series_metric(config.model, metric, t)
-                for metric in (MetricKind.SF, MetricKind.FR, MetricKind.RHR,
-                               MetricKind.AI)
-            ]
-        )
-    return _csv(["t", "sf", "fr", "rhr", "ai"], rows)
+    t = config.grid.points()
+    hazard = series_hazard(config.model, t)
+    columns = [_metric_values(metric, t, *hazard).tolist()
+               for metric in MetricKind]
+    return _csv(["t", "sf", "fr", "rhr", "ai"], list(zip(t.tolist(), *columns)))
 
 
 def _run_errors(config: RunConfig) -> str:
     metrics = [config.metric] if config.metric else list(MetricKind)
     rows = []
     for metric in metrics:
-        curve = error_curve(config.model, metric, config.grid)
-        for point in curve.points:
-            closed = (
-                closed_form_error(config.model, metric, point.t)
-                if point.rel_err is not None
-                else None
-            )
-            rows.append(
-                [point.t, metric.value, point.dep, point.indep, point.rel_err,
-                 closed]
-            )
+        points = error_curve(config.model, metric, config.grid).points
+        defined = [p.t for p in points if p.rel_err is not None]
+        closed = (closed_form_error(config.model, metric, np.array(defined))
+                  if defined else None)
+        closed = iter([] if closed is None else closed.tolist())
+        for p in points:
+            rows.append([
+                p.t, metric.value, p.dep, p.indep, p.rel_err,
+                next(closed, None) if p.rel_err is not None else None,
+            ])
     return _csv(["t", "metric", "dep", "indep", "rel_err", "closed_form_err"],
                 rows)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,66 +32,77 @@ from .models import (
     Family,
     MetricKind,
     ValidatedModel,
+    _dot,
+    _fill,
+    _first_where,
+    _metric_values,
+    _momw_exponents,
+    _times,
     independent_counterpart,
     series_hazard,
-    series_metric,
 )
-from .numerics import expm1_ratio
+from .numerics import each, expm1_ratio, power_gap
 
 #: relative tolerance for grid-based monotonicity/constancy verdicts
 MONOTONE_TOL = 1e-9
 
 
-def _error_from_hazards(
-    metric: MetricKind,
-    h_dep: float,
-    dh_dep: float,
-    h_ind: float,
-    dh_ind: float,
-) -> float:
-    if metric is MetricKind.SF:
-        return math.expm1(h_ind - h_dep)
-    if metric is MetricKind.FR:
-        return dh_dep / dh_ind - 1.0
-    if metric is MetricKind.RHR:
-        return (dh_dep / dh_ind) * expm1_ratio(h_ind, h_dep) - 1.0
-    if metric is MetricKind.AI:
-        return (dh_dep * h_ind) / (dh_ind * h_dep) - 1.0
-    raise AssertionError(f"unhandled metric {metric}")
+def _sf_error(t: float, x: float) -> float:
+    """exp(x) - 1, the SF relative error at t for x = H_i - H_d."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        raise ZeroDenominatorError(
+            f"sf relative error exceeds the float range at t={t}"
+        ) from None
 
 
-def relative_error(model: ValidatedModel, metric: MetricKind, t: float) -> float:
-    """Generic relative error of the named series metric at time t."""
+# Per-point relative error at t from the hazards (H_d, H_d', H_i, H_i').
+_ERROR_FROM_HAZARDS = {
+    MetricKind.SF: lambda t, hd, dhd, hi, dhi: _sf_error(t, hi - hd),
+    MetricKind.FR: lambda t, hd, dhd, hi, dhi: dhd / dhi - 1.0,
+    MetricKind.RHR: lambda t, hd, dhd, hi, dhi: (
+        (dhd / dhi) * expm1_ratio(hi, hd) - 1.0
+    ),
+    MetricKind.AI: lambda t, hd, dhd, hi, dhi: (dhd * hi) / (dhi * hd) - 1.0,
+}
+
+
+def relative_error(model: ValidatedModel, metric: MetricKind, t):
+    """Generic relative error of the named series metric at time t.
+
+    t is a float, giving a float, or a 1-D array, giving an array.
+    """
     metric = MetricKind(metric)
+    t, _ = _times(t)
     indep = independent_counterpart(model)
+    h_ind, dh_ind = series_hazard(indep, t)
     # Evaluating the reference metric both enforces the domain checks and
     # surfaces an exact zero denominator before the stable combinator runs.
-    ref = series_metric(indep, metric, t)
-    if ref == 0.0:
+    ref = _metric_values(metric, t, h_ind, dh_ind)
+    bad = _first_where(t, ref == 0.0)
+    if bad is not None:
         raise ZeroDenominatorError(
-            f"independent-counterpart {metric.value} is 0 at t={t}"
+            f"independent-counterpart {metric.value} is 0 at t={bad}"
         )
     h_dep, dh_dep = series_hazard(model, t)
-    h_ind, dh_ind = series_hazard(indep, t)
-    return _error_from_hazards(metric, h_dep, dh_dep, h_ind, dh_ind)
+    return each(_ERROR_FROM_HAZARDS[metric], t, h_dep, dh_dep, h_ind, dh_ind)
 
 
-def closed_form_error(
-    model: ValidatedModel, metric: MetricKind, t: float
-) -> float | None:
+def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     """Per-family closed-form relative error, or None when no form exists.
 
     Each form is derived from the survival functions themselves as an
     algebraic rewrite of the generic combinator, which the test suite
-    asserts.
+    asserts.  t is a float, giving a float, or a 1-D array, giving an
+    array; powers and sums run over the whole array, and expm1 per point.
     """
     metric = MetricKind(metric)
-    if not t > 0:
-        raise DomainError(f"t must be > 0, got {t}")
+    t, tc = _times(t)
     fam = model.family
 
     if fam in (Family.INDEP_EXP, Family.INDEP_WEIBULL):
-        return 0.0
+        return _fill(t, 0.0)
 
     if fam is Family.MOME:
         lam = model.rates.total
@@ -98,63 +110,59 @@ def closed_form_error(
         if s == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.SF:
-            return math.expm1(-t * (lam - s))
+            return each(_sf_error, t, -t * (lam - s))
         if metric is MetricKind.FR:
-            return (lam - s) / s
+            return _fill(t, (lam - s) / s)
         if metric is MetricKind.RHR:
-            return (lam / s) * expm1_ratio(s * t, lam * t) - 1.0
-        return 0.0  # AI is identically 1 on both sides
+            return (lam / s) * each(expm1_ratio, s * t, lam * t) - 1.0
+        return _fill(t, 0.0)  # AI is identically 1 on both sides
 
     if fam is Family.MG1:
-        a = model.rates.size_totals
-        powers = np.arange(1, model.n + 1, dtype=float)
-        tp = t**powers
-        theta = float(np.dot(a, tp))
-        dtheta = float(np.dot(a * powers, tp / t))
+        a, powers, slopes = model._mg1_terms
+        tp = tc**powers
+        theta = _dot(a, tp)
+        dtheta = _dot(slopes, tp / tc)
         a1 = a[0]
         if a1 == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.SF:
-            return math.expm1(a1 * t - theta)
+            return each(_sf_error, t, a1 * t - theta)
         if metric is MetricKind.FR:
             return (dtheta - a1) / a1
         if metric is MetricKind.RHR:
-            return (dtheta / a1) * expm1_ratio(a1 * t, theta) - 1.0
+            return (dtheta / a1) * each(expm1_ratio, a1 * t, theta) - 1.0
         return t * dtheta / theta - 1.0  # AI; independent side is 1
 
     if fam is Family.MOMW:
         if metric in (MetricKind.RHR, MetricKind.AI):
             return None
-        r, e = model._power_terms
-        tp = t**e
-        a_val = float(np.dot(r, tp))
-        da_val = float(np.dot(r * e, tp / t))
-        lam = model.rates.singleton_vector
-        al = np.asarray(model.shapes, dtype=float)
-        ta = t**al
-        s = float(np.dot(lam, ta))
-        ds = float(np.dot(lam * al, ta / t))
+        r, e = _momw_exponents(model, tc)
+        tp = tc**e
+        a_val = _dot(r, tp)
+        da_val = _dot(r, e * tp / tc)
+        lam, al, slopes = model._weibull_terms
+        ta = tc**al
+        s = _dot(lam, ta)
+        ds = _dot(slopes, ta / tc)
         if metric is MetricKind.SF:
-            return math.expm1(s - a_val)
-        if ds == 0.0:
+            return each(_sf_error, t, s - a_val)
+        if _first_where(t, ds == 0.0) is not None:
             raise ZeroDenominatorError("model has no singleton rates")
         return (da_val - ds) / ds
 
     if fam in (Family.CROWDER, Family.LEE_II):
-        lam = model.rates.singleton_vector
-        al = np.asarray(model.shapes, dtype=float)
-        ta = t**al
-        s = float(np.dot(lam, ta))
+        lam, al, _ = model._weibull_terms
+        s = _dot(lam, tc**al)
         g, ell = model.gamma, model.stable_exponent
-        b = g + s
-        h = b**ell - g**ell
+        slope = ell * (g + s) ** (ell - 1.0)
+        h = power_gap(g, s, ell)
         if metric is MetricKind.SF:
-            return math.expm1(s - h)
+            return each(_sf_error, t, s - h)
         if metric is MetricKind.FR:
-            return ell * b ** (ell - 1.0) - 1.0
+            return slope - 1.0
         if metric is MetricKind.RHR:
-            return ell * b ** (ell - 1.0) * expm1_ratio(s, h) - 1.0
-        return ell * b ** (ell - 1.0) * s / h - 1.0  # AI
+            return slope * each(expm1_ratio, s, h) - 1.0
+        return slope * s / h - 1.0  # AI
 
     if fam is Family.LEE_ML:
         lam_l = model._lee_total
@@ -163,12 +171,12 @@ def closed_form_error(
             raise ZeroDenominatorError("model has no singleton rates")
         ta = t**model.alpha
         if metric is MetricKind.SF:
-            return math.expm1(-ta * (lam_l - s))
+            return each(_sf_error, t, -ta * (lam_l - s))
         if metric is MetricKind.FR:
-            return lam_l / s - 1.0
+            return _fill(t, lam_l / s - 1.0)
         if metric is MetricKind.RHR:
-            return (lam_l / s) * expm1_ratio(s * ta, lam_l * ta) - 1.0
-        return 0.0  # AI is the common shape on both sides
+            return (lam_l / s) * each(expm1_ratio, s * ta, lam_l * ta) - 1.0
+        return _fill(t, 0.0)  # AI is the common shape on both sides
 
     return None  # LuBI: no closed form; use the generic combinator
 
@@ -198,12 +206,13 @@ def lemma_h(beta: float, gamma: float, alpha: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorPoint:
+class ErrorPoint(NamedTuple):
+    """One grid point of an error curve (a tuple: one is built per point)."""
+
     t: float
     dep: float
     indep: float
-    rel_err: float | None  # None flags an undefined (zero-reference) point
+    rel_err: float | None  # None: zero reference, or beyond the float range
 
 
 @dataclass(frozen=True)
@@ -215,22 +224,28 @@ class ErrorCurve:
 def error_curve(
     model: ValidatedModel, metric: MetricKind, grid: GridLike
 ) -> ErrorCurve:
-    """Pointwise relative error with the raw dependent/independent values."""
+    """Pointwise relative error with the raw dependent/independent values.
+
+    A point whose independent value is 0, or whose SF relative error
+    exceeds the float range, has rel_err None.
+    """
     metric = MetricKind(metric)
     pts = grid_points(grid, minimum=1)
     indep = independent_counterpart(model)
+    h_dep, dh_dep = series_hazard(model, pts)
+    h_ind, dh_ind = series_hazard(indep, pts)
+    dep = _metric_values(metric, pts, h_dep, dh_dep).tolist()
+    ind = _metric_values(metric, pts, h_ind, dh_ind).tolist()
+    error = _ERROR_FROM_HAZARDS[metric]
+    hazards = zip(h_dep.tolist(), dh_dep.tolist(), h_ind.tolist(),
+                  dh_ind.tolist())
     out = []
-    for t in pts:
-        t = float(t)
-        dep_val = series_metric(model, metric, t)
-        ind_val = series_metric(indep, metric, t)
-        if ind_val == 0.0:
-            out.append(ErrorPoint(t=t, dep=dep_val, indep=ind_val, rel_err=None))
-            continue
-        h_dep, dh_dep = series_hazard(model, t)
-        h_ind, dh_ind = series_hazard(indep, t)
-        rel = _error_from_hazards(metric, h_dep, dh_dep, h_ind, dh_ind)
-        out.append(ErrorPoint(t=t, dep=dep_val, indep=ind_val, rel_err=rel))
+    for t, dep_val, ind_val, hz in zip(pts.tolist(), dep, ind, hazards):
+        try:
+            rel = error(t, *hz) if ind_val != 0.0 else None
+        except ZeroDenominatorError:
+            rel = None
+        out.append(ErrorPoint(t, dep_val, ind_val, rel))
     return ErrorCurve(metric=metric, points=tuple(out))
 
 
@@ -273,8 +288,8 @@ def classify_aging(
     monotonicity are judged to within `tol`, with constants flagged.
     """
     pts = grid_points(grid, minimum=3)
-    fr = np.array([series_metric(model, MetricKind.FR, float(t)) for t in pts])
-    ai = np.array([series_metric(model, MetricKind.AI, float(t)) for t in pts])
+    h, fr = series_hazard(model, pts)
+    ai = _metric_values(MetricKind.AI, pts, h, fr)
 
     frclass, fr_constant = _monotone_verdict(fr, "IFR", "DFR", tol)
     aiclass, ai_constant = _monotone_verdict(ai, "IAI", "DAI", tol)
@@ -292,5 +307,5 @@ def classify_aging(
         aiclass=aiclass,
         fr_constant=fr_constant,
         ai_constant=ai_constant,
-        evidence_grid=tuple(float(t) for t in pts),
+        evidence_grid=tuple(pts.tolist()),
     )

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError, ValidationError
-from .numerics import clamp_unit
+from .numerics import clamp_unit, each, power_gap
 
 MAX_COMPONENTS = 24
 
@@ -253,22 +253,43 @@ class ValidatedModel:
         return np.asarray(self.shapes, dtype=float)
 
     @cached_property
-    def _power_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rate, exponent) arrays of the series hazard polynomial-in-powers.
+    def _power_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rate, exponent for t >= 1, exponent for t < 1) of each shock.
 
-        Only meaningful for the Weibull Marshall-Olkin family: a subset S
-        contributes rate lambda_S with exponent max of the member shapes.
+        Only meaningful for the Weibull Marshall-Olkin family: on the
+        diagonal a shock S contributes lambda_S * max_{i in S} t**alpha_i,
+        which is t to the largest member shape for t >= 1 and to the
+        smallest for t < 1.
         """
         shapes = self._shape_vector
-        rates = self.rates.rate_array
-        exps = np.array(
-            [
-                max(shapes[i] for i in mask_members(mask))
-                for mask, _ in self.rates.items
-            ],
-            dtype=float,
+        members = [list(mask_members(mask)) for mask, _ in self.rates.items]
+        return (
+            self.rates.rate_array,
+            np.array([shapes[m].max() for m in members]),
+            np.array([shapes[m].min() for m in members]),
         )
-        return rates, exps
+
+    @cached_property
+    def _weibull_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda_i, alpha_i, lambda_i * alpha_i) of the singleton sum
+        s(t) = sum_i lambda_i * t**alpha_i."""
+        lam = self.rates.singleton_vector
+        return lam, self._shape_vector, lam * self._shape_vector
+
+    @cached_property
+    def _mg1_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a_p, p, p * a_p) for p = 1..n: H(t) = sum_p a_p * t**p."""
+        a = self.rates.size_totals
+        powers = np.arange(1, self.n + 1, dtype=float)
+        return a, powers, a * powers
+
+    @cached_property
+    def _lubi_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda_i**(1/m), alpha_i/m, alpha_i * lambda_i**(1/m)) of the
+        coupling sum u(t) = sum_i lambda_i**(1/m) * t**(alpha_i/m)."""
+        root = self.rates.singleton_vector ** (1.0 / self.m)
+        al = self._shape_vector
+        return root, al / self.m, root * al
 
     @cached_property
     def _scale_powers(self) -> np.ndarray:
@@ -445,17 +466,15 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray):
         return _shock_sum(rates, x ** model._shape_vector, np.maximum, -np.inf)
     if fam in (Family.CROWDER, Family.LEE_II):
         s = _dot(rates.singleton_vector, x ** model._shape_vector)
-        g, ell = model.gamma, model.stable_exponent
-        return (g + s) ** ell - g**ell
+        return power_gap(model.gamma, s, model.stable_exponent)
     if fam is Family.LEE_ML:
         powered = model._scale_powers * x**model.alpha
         return _shock_sum(rates, powered, np.maximum, -np.inf)
     if fam is Family.LU_BI:
-        lam = rates.singleton_vector
-        al = model._shape_vector
-        base = _dot(lam, x**al)
-        u = _dot(lam ** (1.0 / model.m), x ** (al / model.m))
-        return base + model.delta * u**model.m
+        lam, al, _ = model._weibull_terms
+        root, root_exps, _ = model._lubi_terms
+        u = _dot(root, x**root_exps)
+        return _dot(lam, x**al) + model.delta * u**model.m
     raise AssertionError(f"unhandled family {fam}")
 
 
@@ -476,83 +495,135 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def series_hazard(model: ValidatedModel, t: float) -> tuple[float, float]:
-    """Cumulative hazard H(t) of the series lifetime and its derivative.
+def _times(t):
+    """(t, tc) with every t > 0 checked.
 
-    Both come from the family's closed form, not from differencing.
+    A float stays a float and tc is t; a 1-D array gives tc as a (k, 1)
+    column, so that `tc ** shapes` is (n,) for one point and (k, n) for a
+    batch, and `_dot` reduces either to the hazard's shape.
     """
+    if isinstance(t, np.ndarray):
+        if t.ndim == 0:
+            return _times(float(t))
+        if t.ndim != 1:
+            raise DomainError(f"t must be a float or a 1-D array, got {t.shape}")
+        t = t.astype(float, copy=False)
+        bad = _first_where(t, ~(t > 0))
+        if bad is not None:
+            raise DomainError(f"t must be > 0, got {bad}")
+        return t, t[:, None]
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
+    return t, t
+
+
+def _first_where(t, cond):
+    """The first t at which `cond` holds, or None; both floats or arrays."""
+    if isinstance(cond, np.ndarray):
+        return float(t[cond.argmax()]) if cond.any() else None
+    return t if cond else None
+
+
+def _fill(t, value: float):
+    """A constant with the shape of t: the float itself for a float t."""
+    return np.full(t.shape, value) if isinstance(t, np.ndarray) else value
+
+
+def _momw_exponents(model: ValidatedModel, tc):
+    """(rate, exponent) of each shock's diagonal term lambda_S * t**e_S.
+
+    The exponent is the largest member shape for t >= 1 and the smallest
+    for t < 1, per point: (shocks,) for a float, (k, shocks) for a column.
+    """
+    r, hi, lo = model._power_terms
+    if isinstance(tc, np.ndarray):
+        return r, np.where(tc >= 1.0, hi, lo)
+    return r, hi if tc >= 1.0 else lo
+
+
+def series_hazard(model: ValidatedModel, t):
+    """Cumulative hazard H(t) of the series lifetime and its derivative.
+
+    Both come from the family's closed form, not from differencing.  A
+    float t gives two floats; a 1-D array of times gives two arrays.  H is
+    -ln joint_sf(t, ..., t).  The MOMW derivative jumps at t = 1, where the
+    exponents switch; H' there is the right derivative.
+    """
+    t, tc = _times(t)
     fam = model.family
-    rates = model.rates
     if fam in (Family.INDEP_EXP, Family.MOME):
-        lam = rates.total
-        return lam * t, lam
+        lam = model.rates.total
+        return lam * t, _fill(t, lam)
     if fam is Family.MG1:
-        a = rates.size_totals
-        powers = np.arange(1, model.n + 1, dtype=float)
-        tp = t**powers
-        return float(np.dot(a, tp)), float(np.dot(a * powers, tp / t))
-    if fam is Family.INDEP_WEIBULL:
-        lam = rates.singleton_vector
-        al = model._shape_vector
-        tp = t**al
-        return float(np.dot(lam, tp)), float(np.dot(lam * al, tp / t))
+        a, powers, slopes = model._mg1_terms
+        tp = tc**powers
+        return _dot(a, tp), _dot(slopes, tp / tc)
     if fam is Family.MOMW:
-        r, e = model._power_terms
-        tp = t**e
-        return float(np.dot(r, tp)), float(np.dot(r * e, tp / t))
-    if fam in (Family.CROWDER, Family.LEE_II):
-        lam = rates.singleton_vector
-        al = model._shape_vector
-        tp = t**al
-        s = float(np.dot(lam, tp))
-        ds = float(np.dot(lam * al, tp / t))
-        g, ell = model.gamma, model.stable_exponent
-        b = g + s
-        return b**ell - g**ell, ell * b ** (ell - 1.0) * ds
+        r, e = _momw_exponents(model, tc)
+        tp = tc**e
+        return _dot(r, tp), _dot(r, e * tp) / t
     if fam is Family.LEE_ML:
         lam_l = model._lee_total
         ta = t**model.alpha
         return lam_l * ta, model.alpha * lam_l * ta / t
+    lam, al, slopes = model._weibull_terms
+    tp = tc**al
+    s = _dot(lam, tp)
+    ds = _dot(slopes, tp) / t
+    if fam is Family.INDEP_WEIBULL:
+        return s, ds
+    if fam in (Family.CROWDER, Family.LEE_II):
+        g, ell = model.gamma, model.stable_exponent
+        return power_gap(g, s, ell), ell * (g + s) ** (ell - 1.0) * ds
     if fam is Family.LU_BI:
-        lam = rates.singleton_vector
-        al = model._shape_vector
+        root, root_exps, root_slopes = model._lubi_terms
         mm = model.m
-        tp = t**al
-        base = float(np.dot(lam, tp))
-        dbase = float(np.dot(lam * al, tp / t))
-        root = lam ** (1.0 / mm)
-        up = t ** (al / mm)
-        u = float(np.sum(root * up))
-        du = float(np.sum(root * al * up / t)) / mm
+        up = tc**root_exps
+        u = _dot(root, up)
+        du = _dot(root_slopes, up) / t / mm
         return (
-            base + model.delta * u**mm,
-            dbase + model.delta * mm * u ** (mm - 1.0) * du,
+            s + model.delta * u**mm,
+            ds + model.delta * mm * u ** (mm - 1.0) * du,
         )
     raise AssertionError(f"unhandled family {fam}")
 
 
-def series_metric(model: ValidatedModel, metric: MetricKind, t: float) -> float:
-    """One of SF/FR/RHR/AI for the series lifetime min_i X_i at time t."""
-    metric = MetricKind(metric)
-    h, dh = series_hazard(model, t)
-    if metric is MetricKind.SF:
-        return clamp_unit(math.exp(-h))
-    if metric is MetricKind.FR:
-        return dh
-    if h <= 0.0:
-        raise SingularityError(
-            f"survival is 1 to machine precision at t={t}; "
-            f"{metric.value} undefined"
-        )
-    if metric is MetricKind.AI:
-        return t * dh / h
+def _sf_value(h: float) -> float:
+    return clamp_unit(math.exp(-h))
+
+
+def _rhr_value(h: float, dh: float) -> float:
     # RHR = H' / (exp(H) - 1); for very large H the denominator overflows,
     # but the limit is H'*exp(-H) which underflows to 0 consistently.
     if h > 700.0:
         return dh * math.exp(-h)
     return dh / math.expm1(h)
+
+
+def _metric_values(metric: MetricKind, t, h, dh):
+    """A series metric from the hazard pair (h, dh) at t: floats or arrays."""
+    if metric is MetricKind.SF:
+        return each(_sf_value, h)
+    if metric is MetricKind.FR:
+        return dh
+    bad = _first_where(t, h <= 0.0)
+    if bad is not None:
+        raise SingularityError(
+            f"survival is 1 to machine precision at t={bad}; "
+            f"{metric.value} undefined"
+        )
+    if metric is MetricKind.AI:
+        return t * dh / h
+    return each(_rhr_value, h, dh)
+
+
+def series_metric(model: ValidatedModel, metric: MetricKind, t):
+    """One of SF/FR/RHR/AI for the series lifetime min_i X_i at time t.
+
+    t is a float, giving a float, or a 1-D array, giving an array.
+    """
+    metric = MetricKind(metric)
+    return _metric_values(metric, t, *series_hazard(model, t))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +678,9 @@ class AggregateRecord:
     family: Family
     total_rate: float | None = None
     power_coeffs: tuple[float, ...] | None = None
-    hazard_terms: tuple[tuple[float, float], ...] | None = None
+    # (rate, exponent for t >= 1, exponent for t < 1) per term of the
+    # series hazard sum_terms rate * t**exponent
+    hazard_terms: tuple[tuple[float, float, float], ...] | None = None
     raw: tuple[tuple[str, object], ...] | None = None
 
 
@@ -622,15 +695,11 @@ def aggregates(model: ValidatedModel) -> AggregateRecord:
         )
     if fam in (Family.INDEP_WEIBULL, Family.MOMW):
         if fam is Family.MOMW:
-            r, e = model._power_terms
-            terms = tuple(zip(map(float, r), map(float, e)))
+            r, hi, lo = model._power_terms
         else:
-            terms = tuple(
-                zip(
-                    map(float, model.rates.singleton_vector),
-                    map(float, model.shapes),
-                )
-            )
+            r = model.rates.singleton_vector
+            hi = lo = model._shape_vector
+        terms = tuple(zip(r.tolist(), hi.tolist(), lo.tolist()))
         return AggregateRecord(family=fam, hazard_terms=terms)
     if fam is Family.LEE_ML:
         return AggregateRecord(family=fam, total_rate=model._lee_total)

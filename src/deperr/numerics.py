@@ -1,11 +1,40 @@
-"""Small numeric helpers used by the metric and error formulas."""
+"""Small numeric helpers used by the metric and error formulas.
+
+The kernels take a float t or a 1-D array of times.  Transcendentals whose
+values reach the output (exp, expm1, expm1_ratio) are applied per point
+with `math` through :func:`each`, so a point's value does not depend on
+whether it was computed alone or in a batch.
+"""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # exp(x) overflows around 709.78; switch to the log-space form well before.
 _EXP_SWITCH = 700.0
+
+
+def each(fn, *args):
+    """fn(*args) for floats; fn over the points of equal-length 1-D arrays."""
+    if isinstance(args[0], np.ndarray):
+        cols = [a.tolist() for a in args]
+        return np.fromiter(map(fn, *cols), float, len(cols[0]))
+    return fn(*args)
+
+
+def power_gap(g: float, s, ell: float):
+    """(g + s)**ell - g**ell for s >= 0, a float or an array.
+
+    Written g**ell * expm1(ell * log1p(s / g)) for g > 0, which does not
+    cancel when s << g.
+    """
+    if g == 0.0:
+        return s**ell
+    if isinstance(s, np.ndarray):
+        return g**ell * np.expm1(ell * np.log1p(s / g))
+    return g**ell * math.expm1(ell * math.log1p(s / g))
 
 
 def expm1_ratio(a: float, b: float) -> float:

@@ -84,6 +84,10 @@ def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
     """(sf_ie, error_bound) of `parallel_sf_ie`, without the compact form."""
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
+    if t == math.inf:
+        # Every component has a positive total rate, so every marginal
+        # survival is 0; the kernel would meet 0 * inf (MG1 products).
+        return 0.0, 0.0
     bits = 1 << np.arange(model.n, dtype=np.int64)
     kappa = len(model.rates.items) + model.n + 2
     weighted: list[float] = []  # per chunk, sum of term_S * (3 + kappa * H_S)

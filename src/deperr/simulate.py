@@ -155,11 +155,6 @@ def _log_sf(model: ValidatedModel, t: float) -> float:
     return -math.log(sf)
 
 
-def _richardson(d_coarse: float, d_fine: float) -> float:
-    # One level of extrapolation for a central difference: error O(h^2).
-    return (4.0 * d_fine - d_coarse) / 3.0
-
-
 def finite_diff_metric(
     model: ValidatedModel,
     metric: MetricKind,
@@ -181,21 +176,29 @@ def finite_diff_metric(
         raise DomainError(f"step must be in (0, 1e-2], got {step}")
     h = max(step * t, 1e-8)
     h = min(h, 0.5 * t)
+    # The MOMW diagonal hazard switches exponents at t = 1, so its FR jumps
+    # there; a stencil that would straddle 1 stays on t's side of it.
+    side = 0
+    if model.family is Family.MOMW and t - h < 1.0 < t + h:
+        side = 1 if t >= 1.0 else -1
 
-    def central(f, hh: float) -> float:
-        return (f(t + hh) - f(t - hh)) / (2.0 * hh)
+    def derivative(f) -> float:
+        # Central (or one-sided) differences at h and h/2, with one level
+        # of Richardson extrapolation: error O(h^2).
+        if side:
+            d = [side * (f(t + side * hh) - f(t)) / hh for hh in (h, h / 2)]
+            return 2.0 * d[1] - d[0]
+        d = [(f(t + hh) - f(t - hh)) / (2.0 * hh) for hh in (h, h / 2)]
+        return (4.0 * d[1] - d[0]) / 3.0
 
-    cum_hazard = lambda u: _log_sf(model, u)
-    fr = _richardson(central(cum_hazard, h), central(cum_hazard, h / 2))
+    fr = derivative(lambda u: _log_sf(model, u))
     if metric is MetricKind.FR:
         return fr
     if metric is MetricKind.AI:
         return t * fr / _log_sf(model, t)
     # RHR = f(t) / F(t) with the density from differencing the CDF.
     sf_at = lambda u: series_metric(model, MetricKind.SF, u)
-    density = _richardson(
-        -central(sf_at, h), -central(sf_at, h / 2)
-    )
+    density = -derivative(sf_at)
     cdf = 1.0 - sf_at(t)
     if cdf <= 0.0:
         raise SingularityError(f"series CDF is 0 at t={t}; RHR undefined")

@@ -197,6 +197,26 @@ class TestOutput:
         value = text.split("\n")[2].split(",")[1]
         assert value == format(math.exp(-2.5), ".17g")
 
+    def test_errors_sf_beyond_float_range_is_blank(self, tmp_path):
+        # Crowder at t = 370: exp(H_i - H_d) - 1 exceeds the float range
+        # while the independent survival is still subnormal, not 0.
+        data = base_config(
+            tmp_path, family="Crowder", command="errors", metric="sf",
+            rates=[{"subset": [1], "lambda": 1.0},
+                   {"subset": [2], "lambda": 1.0}],
+            shapes=[1.0, 1.0], gamma=0.5, l=0.5,
+            grid={"start": 360.0, "stop": 370.0, "count": 2,
+                  "spacing": "linear"},
+        )
+        rows = [line.split(",")
+                for line in self.run_csv(tmp_path, data).splitlines()[1:]]
+        assert [row[0] for row in rows] == ["360", "370"]
+        assert rows[0][4] and rows[0][5]
+        assert float(rows[0][4]) == pytest.approx(float(rows[0][5]),
+                                                  rel=1e-12)
+        assert rows[1][4] == "" and rows[1][5] == ""
+        assert 0.0 < float(rows[1][3]) < 1e-300  # subnormal reference
+
     def test_errors_all_metrics(self, tmp_path):
         data = base_config(tmp_path, command="errors")
         text = self.run_csv(tmp_path, data)

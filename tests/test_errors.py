@@ -20,6 +20,7 @@ from deperr import (
     series_metric,
     validate_model,
 )
+from deperr.exceptions import ZeroDenominatorError
 from deperr.simulate import finite_diff_metric
 
 from conftest import random_model
@@ -248,3 +249,44 @@ class TestCurvesAndClassification:
         m = mome({(1,): 1.0, (2,): 1.0})
         with pytest.raises(DomainError):
             classify_aging(m, [1.0, 2.0])
+
+
+class TestArrays:
+    GRID = np.geomspace(0.05, 5.0, 15)
+
+    @pytest.mark.parametrize(
+        "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML", "LuBI"]
+    )
+    def test_array_errors_match_scalar(self, family, rng):
+        m = random_model(family, 3, rng)
+        for metric in METRICS:
+            closed = closed_form_error(m, metric, self.GRID)
+            generic = relative_error(m, metric, self.GRID)
+            for k, t in enumerate(self.GRID.tolist()):
+                one = closed_form_error(m, metric, t)
+                assert (closed is None) == (one is None)
+                if one is not None:
+                    assert closed[k] == pytest.approx(one, rel=1e-12, abs=1e-15)
+                assert generic[k] == pytest.approx(
+                    relative_error(m, metric, t), rel=1e-12, abs=1e-15)
+
+    def test_error_curve_uses_array_values(self, rng):
+        m = random_model("MG1", 3, rng)
+        curve = error_curve(m, MetricKind.RHR, self.GRID)
+        rel = relative_error(m, MetricKind.RHR, self.GRID)
+        assert [p.rel_err for p in curve.points] == rel.tolist()
+        assert [p.dep for p in curve.points] == series_metric(
+            m, MetricKind.RHR, self.GRID).tolist()
+
+    def test_sf_error_beyond_float_range(self):
+        m = validate_model(ModelSpec(
+            "Crowder", 2, {(1,): 1.0, (2,): 1.0}, shapes=(1.0, 1.0),
+            gamma=0.5, stable_exponent=0.5))
+        for fn in (relative_error, closed_form_error):
+            with pytest.raises(ZeroDenominatorError, match="t=370.0"):
+                fn(m, MetricKind.SF, 370.0)
+            with pytest.raises(ZeroDenominatorError, match="t=370.0"):
+                fn(m, MetricKind.SF, np.array([1.0, 370.0, 372.0]))
+        points = error_curve(m, MetricKind.SF, [360.0, 370.0]).points
+        assert points[0].rel_err is not None
+        assert points[1].rel_err is None and points[1].indep > 0.0

@@ -288,3 +288,83 @@ def test_mome_series_sf_property(lam1, lam2, lam12, t):
     m = mome({(1,): lam1, (2,): lam2, (1, 2): lam12})
     expected = math.exp(-(lam1 + lam2 + lam12) * t)
     assert series_metric(m, MetricKind.SF, t) == pytest.approx(expected, rel=1e-12)
+
+
+class TestArrayKernel:
+    GRID = np.geomspace(1e-3, 1e3, 100)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_array_matches_scalar(self, family, rng):
+        # One kernel call over a t-array equals the scalar kernel per point.
+        for n in range(2, 9):
+            m = random_model(family, n, rng)
+            h, dh = series_hazard(m, self.GRID)
+            assert h.shape == dh.shape == self.GRID.shape
+            for k, t in enumerate(self.GRID.tolist()):
+                h1, dh1 = series_hazard(m, t)
+                assert isinstance(h1, float) and isinstance(dh1, float)
+                assert abs(h[k] - h1) <= 1e-14 * abs(h1)
+                assert abs(dh[k] - dh1) <= 1e-14 * abs(dh1)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_array_metrics_match_scalar(self, family, rng):
+        grid = np.geomspace(1e-2, 1e2, 40)
+        m = random_model(family, 3, rng)
+        for metric in MetricKind:
+            values = series_metric(m, metric, grid)
+            for k, t in enumerate(grid.tolist()):
+                assert values[k] == pytest.approx(
+                    series_metric(m, metric, t), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_series_sf_is_joint_sf_on_diagonal(self, family, rng):
+        # The series survival is joint_sf(t, ..., t), on both sides of t = 1.
+        for n in (2, 3, 5):
+            m = random_model(family, n, rng)
+            for t in self.GRID.tolist():
+                sf = series_metric(m, MetricKind.SF, t)
+                joint = joint_sf(m, [t] * n)
+                assert math.isclose(sf, joint, rel_tol=1e-9, abs_tol=1e-300)
+
+    def test_momw_uses_smallest_shape_below_one(self):
+        rates = {(1,): 0.3, (2,): 0.4, (3,): 0.3, (1, 2): 0.2, (1, 2, 3): 0.15}
+        m = validate_model(ModelSpec("MOMW", 3, rates, shapes=(0.8, 1.4, 2.0)))
+        assert series_metric(m, MetricKind.SF, 0.2) == pytest.approx(
+            0.7918452474762495, rel=1e-12)
+        # FR jumps at t = 1; the kernel gives the right derivative there.
+        left = series_metric(m, MetricKind.FR, 1.0 - 1e-12)
+        right = series_metric(m, MetricKind.FR, 1.0)
+        assert left == pytest.approx(0.3 * 0.8 + 0.4 * 1.4 + 0.3 * 2.0
+                                     + 0.2 * 0.8 + 0.15 * 0.8, rel=1e-9)
+        assert right == pytest.approx(0.3 * 0.8 + 0.4 * 1.4 + 0.3 * 2.0
+                                      + 0.2 * 1.4 + 0.15 * 2.0, rel=1e-12)
+        terms = aggregates(m).hazard_terms
+        assert (0.2, 1.4, 0.8) in terms and (0.15, 2.0, 0.8) in terms
+
+    def test_momw_fd_stays_on_one_side_of_the_kink(self):
+        rates = {(1,): 0.3, (2,): 0.4, (3,): 0.3, (1, 2): 0.2, (1, 2, 3): 0.15}
+        m = validate_model(ModelSpec("MOMW", 3, rates, shapes=(0.8, 1.4, 2.0)))
+        for t in (1.0 - 3e-5, 1.0, 1.0 + 3e-5):
+            for metric in (MetricKind.FR, MetricKind.RHR, MetricKind.AI):
+                exact = series_metric(m, metric, t)
+                fd = finite_diff_metric(m, metric, t)
+                assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
+
+    def test_crowder_small_increment_does_not_cancel(self):
+        # (g + s)^l - g^l with s << g: 1e-12 to full precision.
+        m = validate_model(ModelSpec("Crowder", 1, {(1,): 2e-9}, shapes=(1.0,),
+                                     gamma=1e6, stable_exponent=0.5))
+        exact = 1e-12 * (1.0 - 0.25 * 2e-15)
+        h, _ = series_hazard(m, 1.0)
+        assert h == pytest.approx(exact, rel=1e-14)
+        assert _joint_hazard(m, np.array([1.0])) == pytest.approx(exact,
+                                                                  rel=1e-14)
+        assert series_hazard(m, np.array([1.0]))[0][0] == pytest.approx(
+            exact, rel=1e-14)
+
+    def test_array_t_rejects_nonpositive_and_2d(self):
+        m = mome({(1,): 1.0, (2,): 1.0})
+        with pytest.raises(DomainError, match="got 0.0"):
+            series_hazard(m, np.array([1.0, 0.0, -1.0]))
+        with pytest.raises(DomainError):
+            series_hazard(m, np.ones((2, 2)))

@@ -1,6 +1,7 @@
 """Inclusion-exclusion parallel survival and compact closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,4 +187,14 @@ def test_mg1_huge_t_underflows_to_zero():
     with np.errstate(over="ignore"):
         result = parallel_sf_ie(m, 1e200)
     assert result.sf_ie == 0.0
+    assert result.sf_closed == 0.0
+
+
+def test_mg1_infinite_t_is_zero():
+    m = validate_model(ModelSpec("MG1", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = parallel_sf_ie(m, math.inf)
+    assert result.sf_ie == 0.0
+    assert result.error_bound == 0.0
     assert result.sf_closed == 0.0
