@@ -23,13 +23,11 @@ from .exceptions import (
 )
 from .grids import GridSpec, grid_points
 from .models import (
-    AggregateRecord,
     Family,
     MetricKind,
     ModelSpec,
     SubsetRates,
     ValidatedModel,
-    aggregates,
     independent_counterpart,
     joint_sf,
     series_hazard,
@@ -55,7 +53,6 @@ from .simulate import (
 
 __all__ = [
     "AgingClass",
-    "AggregateRecord",
     "CapabilityError",
     "ConfigError",
     "DepErrError",
@@ -74,7 +71,6 @@ __all__ = [
     "ValidatedModel",
     "ValidationError",
     "ZeroDenominatorError",
-    "aggregates",
     "classify_aging",
     "closed_form_error",
     "error_curve",

@@ -32,12 +32,14 @@ from .models import (
     ModelSpec,
     ValidatedModel,
     _metric_values,
+    _real,
     independent_counterpart,
     mask_to_subset,
     series_hazard,
     series_metric,
     validate_model,
 )
+from .numerics import is_integer
 from .parallel import _ie_sum, _relative_to_independent, parallel_sf_ie
 from .simulate import RngPolicy, estimate_system_sf
 
@@ -55,6 +57,8 @@ _MODEL_KEYS = {"family", "n", "rates", "shapes", "gamma", "l", "alpha", "c",
 _RUN_KEYS = _MODEL_KEYS | {"command", "grid", "metric", "samples", "seed",
                            "structure", "output"}
 _GRID_KEYS = {"start", "stop", "count", "spacing"}
+# simulate holds samples x n draws in memory at once
+MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,18 @@ class RunConfig:
             raise ConfigError(f"command: unknown command {self.command!r}")
         if self.structure not in STRUCTURES:
             raise ConfigError(f"structure: must be one of {STRUCTURES}")
-        if self.command == "simulate":
-            if self.samples is None or self.samples < 1:
-                raise ConfigError("samples: simulate requires samples >= 1")
+        if not isinstance(self.output, str) or "\0" in self.output:
+            raise ConfigError(f"output: not a file path: {self.output!r}")
+        for key in ("samples", "seed"):
+            value = getattr(self, key)
+            if value is not None and not is_integer(value):
+                raise ConfigError(f"{key}: must be an integer, got {value!r}")
+        if self.samples is not None and not 1 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(
+                f"samples: must be in 1..{MAX_SAMPLES}, got {self.samples}"
+            )
+        if self.command == "simulate" and self.samples is None:
+            raise ConfigError("samples: missing (simulate requires it)")
 
 
 def model_from_dict(data: dict) -> ValidatedModel:
@@ -89,17 +102,18 @@ def model_from_dict(data: dict) -> ValidatedModel:
         raise ConfigError("family: missing")
     if "n" not in data:
         raise ConfigError("n: missing")
-    rates = {}
-    for entry in data.get("rates", []):
-        if not isinstance(entry, dict) or set(entry) != {"subset", "lambda"}:
-            raise ConfigError(
-                "rates: each entry must be {\"subset\": [...], \"lambda\": x}"
-            )
-        rates[tuple(entry["subset"])] = entry["lambda"]
+    rates = data.get("rates", [])
+    if not isinstance(rates, list) or not all(
+        isinstance(e, dict) and set(e) == {"subset", "lambda"}
+        and isinstance(e["subset"], list) for e in rates
+    ):
+        raise ConfigError(
+            "rates: must be a list of {\"subset\": [...], \"lambda\": x}"
+        )
     spec = ModelSpec(
         family=data["family"],
         n=data["n"],
-        rates=rates,
+        rates=[(e["subset"], e["lambda"]) for e in rates],
         shapes=data.get("shapes"),
         gamma=data.get("gamma"),
         stable_exponent=data.get("l"),
@@ -140,6 +154,7 @@ def model_to_dict(model: ValidatedModel) -> dict:
 
 
 def _grid_from_dict(data: dict) -> GridSpec:
+    """The config's grid object as a GridSpec: the one place one is built."""
     if not isinstance(data, dict):
         raise ConfigError("grid: must be an object")
     unknown = set(data) - _GRID_KEYS
@@ -150,13 +165,13 @@ def _grid_from_dict(data: dict) -> GridSpec:
             raise ConfigError(f"grid.{key}: missing")
     try:
         return GridSpec(
-            start=float(data["start"]),
-            stop=float(data["stop"]),
-            count=int(data["count"]),
+            start=_real(data["start"], "grid.start"),
+            stop=_real(data["stop"], "grid.stop"),
+            count=data["count"],
             spacing=data.get("spacing", "log"),
         )
-    except DomainError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    except (DomainError, ValidationError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _metric_from(name) -> MetricKind | None:
@@ -168,18 +183,23 @@ def _metric_from(name) -> MetricKind | None:
         raise ConfigError(f"metric: unknown metric {name!r}") from None
 
 
-def parse_config(path) -> RunConfig:
-    """Parse a self-contained run configuration file."""
+def _read_config(path) -> dict:
+    """The JSON object in the config file at `path`."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    return data
+
+
+def _config_from_dict(data: dict) -> RunConfig:
+    """Check every key of a config dict and build the RunConfig."""
     unknown = set(data) - _RUN_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
@@ -191,12 +211,17 @@ def parse_config(path) -> RunConfig:
         command=data["command"],
         model=model,
         grid=_grid_from_dict(data["grid"]),
-        output=str(data["output"]),
+        output=data["output"],
         metric=_metric_from(data.get("metric")),
         samples=data.get("samples"),
         seed=data.get("seed"),
         structure=data.get("structure", "series"),
     )
+
+
+def parse_config(path) -> RunConfig:
+    """Parse a self-contained run configuration file."""
+    return _config_from_dict(_read_config(path))
 
 
 def emit_config(config: RunConfig) -> str:
@@ -327,7 +352,8 @@ def run(config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid_arg(value: str) -> GridSpec:
+def _parse_grid_arg(value: str) -> dict:
+    """--grid START:STOP:COUNT:lin|log as a config grid object."""
     parts = value.split(":")
     if len(parts) != 4:
         raise ConfigError(f"--grid expects START:STOP:COUNT:lin|log, got {value!r}")
@@ -335,15 +361,14 @@ def _parse_grid_arg(value: str) -> GridSpec:
     if spacing is None:
         raise ConfigError(f"--grid spacing must be lin or log, got {parts[3]!r}")
     try:
-        return GridSpec(
-            start=float(parts[0]), stop=float(parts[1]), count=int(parts[2]),
-            spacing=spacing,
-        )
-    except (ValueError, DomainError) as exc:
+        return {"start": float(parts[0]), "stop": float(parts[1]),
+                "count": int(parts[2]), "spacing": spacing}
+    except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from exc
 
 
 def build_config(argv: list[str]) -> RunConfig:
+    """The config file's keys, each overridden by its flag when given."""
     parser = argparse.ArgumentParser(
         prog="dep-err",
         description="Series/parallel reliability metrics and the relative "
@@ -357,53 +382,14 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--structure", choices=STRUCTURES)
     parser.add_argument("--output", help="output CSV path")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
-    try:
-        text = Path(args.model).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.model}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {args.model}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(data) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-
-    model = model_from_dict({k: v for k, v in data.items() if k in _MODEL_KEYS})
-
-    if args.grid is not None:
-        grid = _parse_grid_arg(args.grid)
-    elif "grid" in data:
-        grid = _grid_from_dict(data["grid"])
-    else:
-        raise ConfigError("grid: missing (provide --grid or a grid in the config)")
-
-    metric = _metric_from(
-        args.metric if args.metric is not None else data.get("metric")
-    )
-
-    output = args.output if args.output is not None else data.get("output")
-    if output is None:
-        raise ConfigError("output: missing (provide --output or output in the config)")
-
-    return RunConfig(
-        command=args.command,
-        model=model,
-        grid=grid,
-        output=str(output),
-        metric=metric,
-        samples=args.samples if args.samples is not None else data.get("samples"),
-        seed=args.seed if args.seed is not None else data.get("seed"),
-        structure=(
-            args.structure
-            if args.structure is not None
-            else data.get("structure", "series")
-        ),
-    )
+    data = _read_config(flags.pop("model"))
+    if flags["grid"] is not None:
+        flags["grid"] = _parse_grid_arg(flags["grid"])
+    data.update((key, value) for key, value in flags.items()
+                if value is not None)
+    return _config_from_dict(data)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -420,6 +406,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAPABILITY
     except DomainError as exc:
         print(f"dep-err: domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:  # a value beyond the float range
+        print(f"dep-err: domain error: float arithmetic failed: {exc}",
+              file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"dep-err: i/o error: {exc}", file=sys.stderr)

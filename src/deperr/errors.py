@@ -57,12 +57,23 @@ def _sf_error(t: float, x: float) -> float:
         ) from None
 
 
+def _rhr_error(t: float, slope_ratio: float, hi: float, hd: float) -> float:
+    """slope_ratio * expm1(hi) / expm1(hd) - 1, the RHR relative error at t
+    for slope_ratio = H_d'/H_i'."""
+    err = slope_ratio * expm1_ratio(hi, hd) - 1.0
+    if math.isinf(err):
+        raise ZeroDenominatorError(
+            f"rhr relative error exceeds the float range at t={t}"
+        )
+    return err
+
+
 # Per-point relative error at t from the hazards (H_d, H_d', H_i, H_i').
 _ERROR_FROM_HAZARDS = {
     MetricKind.SF: lambda t, hd, dhd, hi, dhi: _sf_error(t, hi - hd),
     MetricKind.FR: lambda t, hd, dhd, hi, dhi: dhd / dhi - 1.0,
     MetricKind.RHR: lambda t, hd, dhd, hi, dhi: (
-        (dhd / dhi) * expm1_ratio(hi, hd) - 1.0
+        _rhr_error(t, dhd / dhi, hi, hd)
     ),
     MetricKind.AI: lambda t, hd, dhd, hi, dhi: (dhd * hi) / (dhi * hd) - 1.0,
 }
@@ -161,7 +172,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         if metric is MetricKind.FR:
             return slope - 1.0
         if metric is MetricKind.RHR:
-            return slope * each(expm1_ratio, s, h) - 1.0
+            return each(_rhr_error, t, slope, s, h)
         return slope * s / h - 1.0  # AI
 
     if fam is Family.LEE_ML:
@@ -226,8 +237,8 @@ def error_curve(
 ) -> ErrorCurve:
     """Pointwise relative error with the raw dependent/independent values.
 
-    A point whose independent value is 0, or whose SF relative error
-    exceeds the float range, has rel_err None.
+    A point whose independent value is 0, or whose SF or RHR relative
+    error exceeds the float range, has rel_err None.
     """
     metric = MetricKind(metric)
     pts = grid_points(grid, minimum=1)

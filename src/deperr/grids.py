@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
 from .exceptions import DomainError
+from .numerics import is_integer
 
 SPACINGS = ("linear", "log")
+#: most points a GridSpec may hold
+MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -22,16 +26,22 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
-        if self.start <= 0:
-            raise DomainError(f"grid start must be > 0, got {self.start}")
-        if self.stop <= self.start:
+        if not 0 < self.start < math.inf:
             raise DomainError(
-                f"grid stop must exceed start, got {self.start}..{self.stop}"
+                f"grid.start: must be finite and > 0, got {self.start}"
             )
-        if self.count < 1:
-            raise DomainError(f"grid count must be >= 1, got {self.count}")
+        if not self.start < self.stop < math.inf:
+            raise DomainError(
+                "grid.stop: must be finite and exceed grid.start, "
+                f"got {self.start}..{self.stop}"
+            )
+        if not is_integer(self.count) or not 1 <= self.count <= MAX_POINTS:
+            raise DomainError(
+                f"grid.count: must be an integer in 1..{MAX_POINTS}, "
+                f"got {self.count!r}"
+            )
         if self.spacing not in SPACINGS:
-            raise DomainError(f"grid spacing must be one of {SPACINGS}")
+            raise DomainError(f"grid.spacing: must be one of {SPACINGS}")
 
     def points(self) -> np.ndarray:
         if self.spacing == "log":

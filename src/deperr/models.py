@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError, ValidationError
-from .numerics import clamp_unit, each, power_gap
+from .numerics import clamp_unit, each, is_integer, power_gap
 
 MAX_COMPONENTS = 24
 
@@ -78,9 +78,13 @@ def subset_to_mask(subset: Iterable[int], n: int) -> int:
     mask = 0
     for idx in subset:
         if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-            raise ValidationError(f"subset index {idx!r} is not an integer")
+            raise ValidationError(
+                f"rates: subset index {idx!r} is not an integer"
+            )
         if idx < 1 or idx > n:
-            raise ValidationError(f"subset index {idx} outside 1..{n}")
+            raise ValidationError(
+                f"rates: subset index {idx} outside 1..{n} (n = {n})"
+            )
         mask |= 1 << (idx - 1)
     return mask
 
@@ -102,9 +106,11 @@ class SubsetRates:
     items: tuple[tuple[int, float], ...]
 
     @classmethod
-    def from_mapping(cls, n: int, rates: Mapping) -> "SubsetRates":
+    def from_mapping(cls, n: int, rates) -> "SubsetRates":
+        """Canonicalize a subset -> rate mapping, or (subset, rate) pairs."""
         canonical: dict[int, float] = {}
-        for key, value in rates.items():
+        pairs = rates.items() if isinstance(rates, Mapping) else rates
+        for key, value in pairs:
             if isinstance(key, (int, np.integer)):
                 mask = int(key)
                 if mask <= 0 or mask >= (1 << n):
@@ -116,26 +122,19 @@ class SubsetRates:
                 if mask == 0:
                     raise ValidationError(f"rates[{key!r}]: empty subset")
             try:
-                rate = float(value)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"rates[{mask_to_subset(mask)}]: lambda must be a number, "
-                    f"got {value!r}"
-                ) from None
-            if math.isnan(rate) or rate < 0:
-                raise ValidationError(
-                    f"rates[{mask_to_subset(mask)}]: negative rate {value}"
-                )
-            if mask in canonical:
-                raise ValidationError(
-                    f"rates[{mask_to_subset(mask)}]: duplicate subset"
-                )
+                rate = _real(value, "lambda")
+                if not rate >= 0:
+                    raise ValidationError(f"negative rate {value}")
+                if math.isinf(rate):
+                    raise ValidationError("lambda must be finite")
+                if mask in canonical:
+                    raise ValidationError("duplicate subset")
+            except ValidationError as exc:  # name the subset on failure only
+                subset = mask_to_subset(mask)
+                raise ValidationError(f"rates[{subset}]: {exc}") from None
             if rate > 0:
                 canonical[mask] = rate
         return cls(n=n, items=tuple(sorted(canonical.items())))
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.items)
 
     @cached_property
     def total(self) -> float:
@@ -210,7 +209,8 @@ class ModelSpec:
     """Loose, user-facing description of one lifetime model.
 
     Pass through :func:`validate_model` before evaluating anything.  Rate
-    map keys may be bitmasks or 1-based index tuples; `shapes` is the
+    map keys may be bitmasks or 1-based index tuples, and `rates` may also
+    be a sequence of (subset, rate) pairs; `shapes` is the
     per-component Weibull shape vector where the family uses one; `alpha`
     and `scales` are the common shape and per-component scale multipliers
     of the common-shape Marshall-Olkin Weibull family; `gamma` and
@@ -220,7 +220,7 @@ class ModelSpec:
 
     family: Family | str
     n: int
-    rates: Mapping | None = None
+    rates: Mapping | Iterable | None = None
     shapes: Sequence[float] | None = None
     gamma: float | None = None
     stable_exponent: float | None = None
@@ -317,21 +317,49 @@ class ValidatedModel:
         return float(np.dot(self.rates.singleton_vector, self._scale_powers))
 
 
+# Messages name these fields with their config keys too.
+_L = "stable_exponent (l)"
+_C = "scales (c)"
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
 
 
+def _real(value, name: str) -> float:
+    """A real number as a float; a string, bool or other type is an error."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValidationError(f"{name}: must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _param(value, name: str, positive: bool = True) -> float:
+    """A finite parameter > 0, or >= 0 when not `positive`, as a float."""
+    x = _real(value, name)
+    if not (x > 0 if positive else x >= 0) or math.isinf(x):
+        bound = "> 0" if positive else ">= 0"
+        raise ValidationError(f"{name}: must be finite and {bound}, got {x}")
+    return x
+
+
 def _positive_vector(values, n: int, name: str) -> tuple[float, ...]:
     if values is None:
         raise ValidationError(f"{name}: required for this family")
-    vec = tuple(float(v) for v in values)
-    if len(vec) != n:
-        raise ValidationError(f"{name}: expected {n} entries, got {len(vec)}")
-    for i, v in enumerate(vec):
-        if not (v > 0) or math.isinf(v):
-            raise ValidationError(f"{name}[{i + 1}]: must be > 0, got {v}")
-    return vec
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{name}: must be a list of {n} numbers")
+    if len(values) != n:
+        raise ValidationError(
+            f"{name}: expected n = {n} entries, got {len(values)}"
+        )
+    return tuple(_param(v, f"{name}[{i + 1}]") for i, v in enumerate(values))
 
 
 def validate_model(spec: ModelSpec) -> ValidatedModel:
@@ -344,14 +372,22 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     except ValueError:
         raise ValidationError(f"unknown family {spec.family!r}") from None
     n = spec.n
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n: component count must be >= 1, got {n}")
+    if not is_integer(n) or n < 1:
+        raise ValidationError(
+            f"n: component count must be an integer >= 1, got {n!r}"
+        )
     if n > MAX_COMPONENTS:
         raise ValidationError(
             f"n: at most {MAX_COMPONENTS} components supported, got {n}"
         )
 
     rates = SubsetRates.from_mapping(n, spec.rates or {})
+    try:
+        rates.total  # cached; fsum raises past the float range
+    except OverflowError:
+        raise ValidationError(
+            "rates: total rate exceeds the float range"
+        ) from None
     if family not in INTERACTING_FAMILIES and rates.max_order() > 1:
         raise ValidationError(
             f"rates: family {family.value} admits only singleton subsets"
@@ -359,7 +395,9 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     marginals = rates.marginal_totals
     for i in range(n):
         if not marginals[i] > 0:
-            raise ValidationError(f"component {i + 1} has zero total rate")
+            raise ValidationError(
+                f"rates: component {i + 1} has zero total rate (n = {n})"
+            )
 
     shapes = None
     if family in SHAPED_FAMILIES:
@@ -370,37 +408,32 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     gamma = stable_exponent = alpha = delta = m = None
     scales = None
     if family in (Family.CROWDER, Family.LEE_II):
-        gamma = float(spec.gamma) if spec.gamma is not None else 0.0
-        _require(gamma >= 0, f"gamma: must be >= 0, got {gamma}")
+        gamma = _param(spec.gamma if spec.gamma is not None else 0.0, "gamma",
+                       positive=False)
         if spec.stable_exponent is None:
-            raise ValidationError("stable_exponent: required for this family")
-        stable_exponent = float(spec.stable_exponent)
-        _require(
-            stable_exponent > 0,
-            f"stable_exponent: must be > 0, got {stable_exponent}",
-        )
+            raise ValidationError(f"{_L}: required for this family")
+        stable_exponent = _param(spec.stable_exponent, _L)
         if family is Family.LEE_II:
             _require(gamma == 0.0, "gamma: must be 0 for the LeeII family")
             _require(
                 stable_exponent <= 1,
-                f"stable_exponent: must be in (0, 1], got {stable_exponent}",
+                f"{_L}: must be in (0, 1], got {stable_exponent}",
             )
     elif family is Family.LEE_ML:
         if spec.alpha is None:
             raise ValidationError("alpha: required for this family")
-        alpha = float(spec.alpha)
-        _require(alpha > 0, f"alpha: must be > 0, got {alpha}")
-        scales = _positive_vector(spec.scales, n, "scales")
+        alpha = _param(spec.alpha, "alpha")
+        scales = _positive_vector(spec.scales, n, _C)
     elif family is Family.LU_BI:
-        delta = float(spec.delta) if spec.delta is not None else 0.0
-        _require(delta >= 0, f"delta: must be >= 0, got {delta}")
-        m = float(spec.m) if spec.m is not None else 1.0
-        _require(m > 0, f"m: must be > 0, got {m}")
+        delta = _param(spec.delta if spec.delta is not None else 0.0, "delta",
+                       positive=False)
+        m = _param(spec.m if spec.m is not None else 1.0, "m")
 
     for name in ("gamma", "stable_exponent", "alpha", "scales", "delta", "m"):
         value = getattr(spec, name)
         if value is not None and locals()[name] is None:
-            raise ValidationError(f"{name}: not a parameter of this family")
+            label = {"stable_exponent": _L, "scales": _C}.get(name, name)
+            raise ValidationError(f"{label}: not a parameter of this family")
 
     return ValidatedModel(
         family=family,
@@ -627,7 +660,7 @@ def series_metric(model: ValidatedModel, metric: MetricKind, t):
 
 
 # ---------------------------------------------------------------------------
-# Independent counterpart and aggregates
+# Independent counterpart
 # ---------------------------------------------------------------------------
 
 
@@ -668,59 +701,4 @@ def independent_counterpart(model: ValidatedModel) -> ValidatedModel:
         if model.delta == 0.0:
             return model
         return replace(model, delta=0.0)
-    raise AssertionError(f"unhandled family {fam}")
-
-
-@dataclass(frozen=True)
-class AggregateRecord:
-    """Family-dependent derived constants of the series system."""
-
-    family: Family
-    total_rate: float | None = None
-    power_coeffs: tuple[float, ...] | None = None
-    # (rate, exponent for t >= 1, exponent for t < 1) per term of the
-    # series hazard sum_terms rate * t**exponent
-    hazard_terms: tuple[tuple[float, float, float], ...] | None = None
-    raw: tuple[tuple[str, object], ...] | None = None
-
-
-def aggregates(model: ValidatedModel) -> AggregateRecord:
-    """Derived constants: aggregate rate, power coefficients, or term list."""
-    fam = model.family
-    if fam in (Family.INDEP_EXP, Family.MOME):
-        return AggregateRecord(family=fam, total_rate=model.rates.total)
-    if fam is Family.MG1:
-        return AggregateRecord(
-            family=fam, power_coeffs=tuple(model.rates.size_totals)
-        )
-    if fam in (Family.INDEP_WEIBULL, Family.MOMW):
-        if fam is Family.MOMW:
-            r, hi, lo = model._power_terms
-        else:
-            r = model.rates.singleton_vector
-            hi = lo = model._shape_vector
-        terms = tuple(zip(r.tolist(), hi.tolist(), lo.tolist()))
-        return AggregateRecord(family=fam, hazard_terms=terms)
-    if fam is Family.LEE_ML:
-        return AggregateRecord(family=fam, total_rate=model._lee_total)
-    if fam in (Family.CROWDER, Family.LEE_II):
-        return AggregateRecord(
-            family=fam,
-            raw=(
-                ("gamma", model.gamma),
-                ("stable_exponent", model.stable_exponent),
-                ("lambdas", tuple(map(float, model.rates.singleton_vector))),
-                ("shapes", model.shapes),
-            ),
-        )
-    if fam is Family.LU_BI:
-        return AggregateRecord(
-            family=fam,
-            raw=(
-                ("delta", model.delta),
-                ("m", model.m),
-                ("lambdas", tuple(map(float, model.rates.singleton_vector))),
-                ("shapes", model.shapes),
-            ),
-        )
     raise AssertionError(f"unhandled family {fam}")

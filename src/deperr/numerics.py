@@ -16,6 +16,11 @@ import numpy as np
 _EXP_SWITCH = 700.0
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def each(fn, *args):
     """fn(*args) for floats; fn over the points of equal-length 1-D arrays."""
     if isinstance(args[0], np.ndarray):

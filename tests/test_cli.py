@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from deperr import MetricKind
 from deperr.cli import (
@@ -14,6 +17,8 @@ from deperr.cli import (
     EXIT_IO,
     EXIT_OK,
     RunConfig,
+    _GRID_KEYS,
+    _RUN_KEYS,
     emit_config,
     main,
     model_from_dict,
@@ -217,6 +222,22 @@ class TestOutput:
         assert rows[1][4] == "" and rows[1][5] == ""
         assert 0.0 < float(rows[1][3]) < 1e-300  # subnormal reference
 
+    def test_errors_rhr_beyond_float_range_is_blank(self, tmp_path):
+        # the Crowder point of the SF case above, for RHR
+        data = base_config(
+            tmp_path, family="Crowder", command="errors", metric="rhr",
+            rates=[{"subset": [1], "lambda": 1.0},
+                   {"subset": [2], "lambda": 1.0}],
+            shapes=[1.0, 1.0], gamma=0.5, l=0.5,
+            grid={"start": 360.0, "stop": 370.0, "count": 2,
+                  "spacing": "linear"},
+        )
+        rows = [line.split(",")
+                for line in self.run_csv(tmp_path, data).splitlines()[1:]]
+        assert rows[0][4] and rows[0][5]
+        assert rows[1][4] == "" and rows[1][5] == ""
+        assert 0.0 < float(rows[1][3]) < 1e-300  # subnormal reference
+
     def test_errors_all_metrics(self, tmp_path):
         data = base_config(tmp_path, command="errors")
         text = self.run_csv(tmp_path, data)
@@ -307,3 +328,137 @@ class TestGolden:
         path = write_config(tmp_path, f"{name}.json", data)
         assert main([data["command"], "--model", str(path)]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Malformed configs: exit 2 naming the key, never a traceback
+# ---------------------------------------------------------------------------
+
+CONFIG_NAMES = ["eval_mome", "errors_mg1", "classify_weibull",
+                "parallel_indep", "simulate_lee"]
+# every top-level key and every grid key, as "grid.<key>"
+FUZZ_KEYS = sorted(_RUN_KEYS) + [f"grid.{k}" for k in sorted(_GRID_KEYS)]
+HUGE = [2**31, 2**53, 2**64, 10**30, 10**400, 1e308, 5e-324]
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.sampled_from(HUGE + [-x for x in HUGE]), st.floats(),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# an output path stays a name in the working directory
+file_names = st.text(max_size=8).map(lambda s: s.replace("/", "_"))
+
+
+def set_key(data, key, value):
+    """Set a top-level key, or a grid key given as "grid.<key>"."""
+    if key.startswith("grid."):
+        data["grid"][key[5:]] = value
+    else:
+        data[key] = value
+    return data
+
+
+def run_mutated(tmp_path, name, key, value):
+    """Set one key of a golden config and run its command; the exit code."""
+    data = json.loads((DATA / f"{name}.json").read_text())
+    command = data["command"]  # the argv command overrides the file's
+    data["output"] = str(tmp_path / "out.csv")
+    path = write_config(tmp_path, "fuzz.json", set_key(data, key, value))
+    return main([command, "--model", str(path)])
+
+
+def names_key(err: str, key: str) -> bool:
+    return re.search(rf"(?<![\w.]){re.escape(key)}(?![\w])", err) is not None
+
+
+MALFORMED = [
+    ("n", "2"), ("n", True),
+    ("samples", "10"), ("samples", 10.5),
+    ("seed", "x"), ("seed", 1.5),
+    ("grid.count", "x"), ("grid.count", True), ("grid.count", 2.7),
+    ("grid.start", "a"), ("grid.stop", math.nan),
+    ("shapes", "ab"), ("gamma", "x"), ("rates", 5),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("key,value", MALFORMED)
+    def test_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        data = base_config(tmp_path)
+        if key in ("shapes", "gamma"):  # parameters of the Crowder family
+            data.update(family="Crowder", shapes=[1.0, 1.0], gamma=0.5, l=0.5,
+                        rates=[{"subset": [1], "lambda": 1.0},
+                               {"subset": [2], "lambda": 1.0}])
+        path = write_config(tmp_path, "bad.json", set_key(data, key, value))
+        assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert names_key(err, key)
+        if key == "n":
+            assert "must be an integer >= 1" in err
+
+    @pytest.mark.parametrize("rates", [
+        [{"subset": [1], "lambda": math.inf}, {"subset": [2], "lambda": 1.0}],
+        [{"subset": [1], "lambda": 1e308}, {"subset": [2], "lambda": 1e308}],
+    ])
+    def test_bad_rates_exit_2(self, tmp_path, capsys, rates):
+        path = write_config(tmp_path, "bad.json",
+                            base_config(tmp_path, rates=rates))
+        assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
+        assert "rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000])
+    def test_unreadable_config_exits_2(self, tmp_path, content):
+        # not UTF-8, and JSON nested too deep to parse
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
+
+    def test_parse_config_rejects_same_values(self, tmp_path):
+        # the file path and the flag path run the same checks
+        path = write_config(tmp_path, "bad.json",
+                            base_config(tmp_path, seed=1.5))
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(path)
+
+    def test_bad_flag_value_names_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, "ok.json", base_config(tmp_path))
+        assert main(["eval", "--model", str(path), "--grid",
+                     "1:nan:3:lin"]) == EXIT_CONFIG
+        assert names_key(capsys.readouterr().err, "grid.stop")
+
+    def test_flag_overrides_only_its_key(self, tmp_path):
+        data = base_config(tmp_path, command="simulate", samples=10, seed=3)
+        path = write_config(tmp_path, "run.json", data)
+        assert main(["simulate", "--model", str(path), "--samples",
+                     "20"]) == EXIT_OK
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["20"] * 4
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(CONFIG_NAMES), key=st.sampled_from(FUZZ_KEYS),
+       data=st.data())
+@example(name="eval_mome", key="output", data="a\0b")
+@example(name="eval_mome", key="grid.start", data=10**400)
+@example(name="simulate_lee", key="alpha", data=1e308)
+@example(name="simulate_lee", key="grid.stop", data=1e300)
+@example(name="simulate_lee", key="samples", data=2**53)
+def test_fuzz_one_key(tmp_path, monkeypatch, capsys, name, key, data):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(data, st.DataObject):
+        value = data.draw(file_names if key == "output" else json_values)
+    else:  # an explicit example gives the value itself
+        value = data
+    capsys.readouterr()
+    code = run_mutated(tmp_path, name, key, value)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_CAPABILITY,
+                    EXIT_IO)
+    if code == EXIT_CONFIG:
+        assert names_key(capsys.readouterr().err, key)

@@ -290,3 +290,19 @@ class TestArrays:
         points = error_curve(m, MetricKind.SF, [360.0, 370.0]).points
         assert points[0].rel_err is not None
         assert points[1].rel_err is None and points[1].indep > 0.0
+
+    def test_rhr_error_beyond_float_range(self):
+        # expm1(H_i)/expm1(H_d) exceeds the float range at t = 370 while
+        # the independent RHR is still subnormal, not 0.
+        m = validate_model(ModelSpec(
+            "Crowder", 2, {(1,): 1.0, (2,): 1.0}, shapes=(1.0, 1.0),
+            gamma=0.5, stable_exponent=0.5))
+        for fn in (relative_error, closed_form_error):
+            assert math.isfinite(fn(m, MetricKind.RHR, 360.0))
+            with pytest.raises(ZeroDenominatorError, match="t=370.0"):
+                fn(m, MetricKind.RHR, 370.0)
+            with pytest.raises(ZeroDenominatorError, match="t=370.0"):
+                fn(m, MetricKind.RHR, np.array([1.0, 370.0]))
+        points = error_curve(m, MetricKind.RHR, [360.0, 370.0]).points
+        assert points[0].rel_err is not None
+        assert points[1].rel_err is None and points[1].indep > 0.0

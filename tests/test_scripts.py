@@ -1,0 +1,24 @@
+"""Smoke runs of the experiment scripts with tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/error_sweep.py", "--models", "2", "--n-components", "2"],
+    ["scripts/mc_validation.py", "--draws", "1000"],
+])
+def test_script_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("family")
