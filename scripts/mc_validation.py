@@ -12,6 +12,8 @@ Usage:
 import argparse
 import math
 
+import numpy as np
+
 from deperr import (
     MetricKind,
     ModelSpec,
@@ -50,19 +52,19 @@ def main() -> None:
           f"{'analytic':>10} {'z':>6}")
     for model, ts in cases():
         for structure in ("series", "parallel"):
-            for t in ts:
-                est = estimate_system_sf(
-                    model, structure, t, args.draws, RngPolicy(args.seed)
-                )
+            est = estimate_system_sf(
+                model, structure, np.array(ts), args.draws, RngPolicy(args.seed)
+            )
+            for t, value in zip(ts, est.value.tolist()):
                 if structure == "series":
                     exact = series_metric(model, MetricKind.SF, t)
                 else:
                     exact = parallel_sf_ie(model, t).sf_ie
                 se = math.sqrt(exact * (1.0 - exact) / args.draws)
-                z = (est.value - exact) / se if se else float("nan")
+                z = (value - exact) / se if se else float("nan")
                 print(
                     f"{model.family.value:<8} {structure:<9} {t:>5.2f} "
-                    f"{est.value:>10.5f} {exact:>10.5f} {z:>6.2f}"
+                    f"{value:>10.5f} {exact:>10.5f} {z:>6.2f}"
                 )
 
 

@@ -45,10 +45,7 @@ from .simulate import (
     SimEstimate,
     estimate_system_sf,
     finite_diff_metric,
-    sample_lee,
     sample_model,
-    sample_mome,
-    sample_momw,
 )
 
 __all__ = [
@@ -85,10 +82,7 @@ __all__ = [
     "parallel_sf_closed",
     "parallel_sf_ie",
     "relative_error",
-    "sample_lee",
     "sample_model",
-    "sample_mome",
-    "sample_momw",
     "series_hazard",
     "series_metric",
     "validate_model",

@@ -57,7 +57,7 @@ _MODEL_KEYS = {"family", "n", "rates", "shapes", "gamma", "l", "alpha", "c",
 _RUN_KEYS = _MODEL_KEYS | {"command", "grid", "metric", "samples", "seed",
                            "structure", "output"}
 _GRID_KEYS = {"start", "stop", "count", "spacing"}
-# simulate holds samples x n draws in memory at once
+# bounds run time; simulate draws in blocks, so memory does not grow
 MAX_SAMPLES = 10**8
 
 
@@ -318,18 +318,17 @@ def _run_parallel(config: RunConfig) -> str:
 
 def _run_simulate(config: RunConfig) -> str:
     policy = RngPolicy(seed=config.seed if config.seed is not None else 0)
-    rows = []
-    for t in config.grid.points():
-        t = float(t)
-        est = estimate_system_sf(
-            config.model, config.structure, t, config.samples, policy
-        )
-        if config.structure == "series":
-            analytic = series_metric(config.model, MetricKind.SF, t)
-        else:
-            analytic, _ = _ie_sum(config.model, t)
-        rows.append([t, est.value, est.stderr, est.n_samples, analytic])
-    return _csv(["t", "estimate", "stderr", "n", "analytic"], rows)
+    t = config.grid.points()
+    est = estimate_system_sf(
+        config.model, config.structure, t, config.samples, policy
+    )
+    if config.structure == "series":
+        analytic = series_metric(config.model, MetricKind.SF, t).tolist()
+    else:
+        analytic = [_ie_sum(config.model, u)[0] for u in t.tolist()]
+    return _csv(["t", "estimate", "stderr", "n", "analytic"],
+                list(zip(t.tolist(), est.value.tolist(), est.stderr.tolist(),
+                         [est.n_samples] * t.size, analytic)))
 
 
 _RUNNERS = {

@@ -41,7 +41,7 @@ from .models import (
     independent_counterpart,
     series_hazard,
 )
-from .numerics import each, expm1_ratio, power_gap
+from .numerics import each, expm1_ratio, power, power_gap
 
 #: relative tolerance for grid-based monotonicity/constancy verdicts
 MONOTONE_TOL = 1e-9
@@ -180,7 +180,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         s = model._lee_indep_total
         if s == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
-        ta = t**model.alpha
+        ta = power(t, model.alpha)
         if metric is MetricKind.SF:
             return each(_sf_error, t, -ta * (lam_l - s))
         if metric is MetricKind.FR:

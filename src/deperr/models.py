@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError, ValidationError
-from .numerics import clamp_unit, each, is_integer, power_gap
+from .numerics import clamp_unit, each, is_integer, power, power_gap
 
 MAX_COMPONENTS = 24
 
@@ -424,6 +424,12 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
             raise ValidationError("alpha: required for this family")
         alpha = _param(spec.alpha, "alpha")
         scales = _positive_vector(spec.scales, n, _C)
+        # c_i**alpha scales the hazard: inf or 0 would meet t**alpha as nan
+        with np.errstate(over="ignore", under="ignore"):
+            cpow = np.asarray(scales) ** alpha
+        _require(bool(np.all(np.isfinite(cpow) & (cpow > 0))),
+                 f"alpha: c_i**alpha must be a positive finite float for "
+                 f"every entry of {_C}, got alpha = {alpha}")
     elif family is Family.LU_BI:
         delta = _param(spec.delta if spec.delta is not None else 0.0, "delta",
                        positive=False)
@@ -597,7 +603,7 @@ def series_hazard(model: ValidatedModel, t):
         return _dot(r, tp), _dot(r, e * tp) / t
     if fam is Family.LEE_ML:
         lam_l = model._lee_total
-        ta = t**model.alpha
+        ta = power(t, model.alpha)
         return lam_l * ta, model.alpha * lam_l * ta / t
     lam, al, slopes = model._weibull_terms
     tp = tc**al
@@ -679,14 +685,7 @@ def independent_counterpart(model: ValidatedModel) -> ValidatedModel:
     singles = model.rates.singletons_only()
     if fam in (Family.MOME, Family.MG1):
         return ValidatedModel(family=Family.INDEP_EXP, n=model.n, rates=singles)
-    if fam is Family.MOMW:
-        return ValidatedModel(
-            family=Family.INDEP_WEIBULL,
-            n=model.n,
-            rates=singles,
-            shapes=model.shapes,
-        )
-    if fam in (Family.CROWDER, Family.LEE_II):
+    if fam in (Family.MOMW, Family.CROWDER, Family.LEE_II):
         return ValidatedModel(
             family=Family.INDEP_WEIBULL,
             n=model.n,

@@ -29,6 +29,12 @@ def each(fn, *args):
     return fn(*args)
 
 
+def power(t, a: float):
+    """t**a by numpy's loop, so a float t (giving a float) matches a batch."""
+    p = np.power(t, a)
+    return p if isinstance(t, np.ndarray) else float(p)
+
+
 def power_gap(g: float, s, ell: float):
     """(g + s)**ell - g**ell for s >= 0, a float or an array.
 

@@ -1,4 +1,4 @@
-"""Independent ground truth: shock-model samplers and finite differences.
+"""Independent ground truth: a shock-model sampler and finite differences.
 
 The Marshall-Olkin construction draws one exponential shock clock per rated
 subset; a component fails at the earliest shock hitting any subset that
@@ -9,7 +9,11 @@ finite-difference oracle instead.
 
 Randomness is counter-based (Philox) with one disjoint counter block per
 rated subset, so estimates depend only on (seed, draw_count) and not on how
-the work is scheduled.
+the work is scheduled.  Lifetimes are drawn in blocks of `_BLOCK` rows with
+each subset's stream kept open from block to block; consecutive draws from
+one stream equal a single draw, so the rows do not depend on the block size
+while memory stays bounded at any draw count.  `estimate_system_sf` counts
+the survivors of every t on the same draws.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .exceptions import CapabilityError, DomainError, SingularityError
 from .models import (
     Family,
     MetricKind,
-    SubsetRates,
     ValidatedModel,
+    _times,
     mask_members,
     series_metric,
 )
@@ -33,6 +37,8 @@ from .models import (
 SAMPLABLE_FAMILIES = frozenset(
     {Family.INDEP_EXP, Family.MOME, Family.INDEP_WEIBULL, Family.MOMW, Family.LEE_ML}
 )
+# Rows per lifetime block: 65 536 x 24 components x 8 B is 12.6 MB.
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,11 @@ class RngPolicy:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    value: float
-    stderr: float
+    """Survival estimate and binomial standard error: floats for a float t,
+    arrays (one entry per time, all from the same draws) for an array t."""
+
+    value: float | np.ndarray
+    stderr: float | np.ndarray
     n_samples: int
     seed: int
 
@@ -57,83 +66,67 @@ def _subset_stream(seed: int, subset_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def sample_mome(
-    rates: SubsetRates, draw_count: int, policy: RngPolicy = RngPolicy()
-) -> np.ndarray:
-    """Draw (draw_count, n) lifetimes from the subset-shock construction."""
+def _lifetime_blocks(model: ValidatedModel, draw_count: int, policy: RngPolicy):
+    """Consecutive (rows, n) lifetime blocks, draw_count rows in all."""
+    fam = model.family
+    if fam not in SAMPLABLE_FAMILIES:
+        raise CapabilityError(
+            f"family {fam.value} has no shock-model sampler; "
+            "use finite_diff_metric for validation"
+        )
     if draw_count < 1:
         raise DomainError(f"draw_count must be >= 1, got {draw_count}")
-    x = np.full((draw_count, rates.n), np.inf)
-    for j, (mask, lam) in enumerate(rates.items):
-        shocks = _subset_stream(policy.seed, j).standard_exponential(draw_count)
-        shocks /= lam
-        for i in mask_members(mask):
-            np.minimum(x[:, i], shocks, out=x[:, i])
-    return x
-
-
-def sample_momw(
-    rates: SubsetRates,
-    shapes,
-    draw_count: int,
-    policy: RngPolicy = RngPolicy(),
-) -> np.ndarray:
-    """Componentwise power map X_i = Y_i**(1/alpha_i) of the shock draws."""
-    al = np.asarray(shapes, dtype=float)
-    if al.shape != (rates.n,) or np.any(al <= 0):
-        raise DomainError("shapes must be a positive vector of length n")
-    return sample_mome(rates, draw_count, policy) ** (1.0 / al)
-
-
-def sample_lee(
-    rates: SubsetRates,
-    alpha: float,
-    scales,
-    draw_count: int,
-    policy: RngPolicy = RngPolicy(),
-) -> np.ndarray:
-    """Common-shape map X_i = Y_i**(1/alpha) / c_i of the shock draws."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    c = np.asarray(scales, dtype=float)
-    if c.shape != (rates.n,) or np.any(c <= 0):
-        raise DomainError("scales must be a positive vector of length n")
-    return sample_mome(rates, draw_count, policy) ** (1.0 / alpha) / c
+    shocks = [
+        (mask_members(mask), lam, _subset_stream(policy.seed, j))
+        for j, (mask, lam) in enumerate(model.rates.items)
+    ]
+    for start in range(0, draw_count, _BLOCK):
+        rows = min(_BLOCK, draw_count - start)
+        x = np.full((rows, model.n), np.inf)
+        for members, lam, stream in shocks:
+            clock = stream.standard_exponential(rows)
+            clock /= lam
+            for i in members:
+                np.minimum(x[:, i], clock, out=x[:, i])
+        # X_i = Y_i**(1/alpha_i), or Y_i**(1/alpha) / c_i for the common shape
+        if fam in (Family.INDEP_WEIBULL, Family.MOMW):
+            x **= 1.0 / np.asarray(model.shapes)
+        elif fam is Family.LEE_ML:
+            x **= 1.0 / model.alpha
+            x /= model.scales
+        yield x
 
 
 def sample_model(
     model: ValidatedModel, draw_count: int, policy: RngPolicy = RngPolicy()
 ) -> np.ndarray:
-    """Lifetimes for any samplable family; CapabilityError otherwise."""
-    fam = model.family
-    if fam in (Family.INDEP_EXP, Family.MOME):
-        return sample_mome(model.rates, draw_count, policy)
-    if fam in (Family.INDEP_WEIBULL, Family.MOMW):
-        return sample_momw(model.rates, model.shapes, draw_count, policy)
-    if fam is Family.LEE_ML:
-        return sample_lee(model.rates, model.alpha, model.scales, draw_count, policy)
-    raise CapabilityError(
-        f"family {fam.value} has no shock-model sampler; "
-        "use finite_diff_metric for validation"
-    )
+    """(draw_count, n) lifetimes of a samplable family, else CapabilityError."""
+    return np.concatenate(list(_lifetime_blocks(model, draw_count, policy)))
 
 
 def estimate_system_sf(
     model: ValidatedModel,
     structure: str,
-    t: float,
+    t,
     draw_count: int,
     policy: RngPolicy = RngPolicy(),
 ) -> SimEstimate:
-    """Monte Carlo estimate of the series or parallel survival at t."""
+    """Monte Carlo estimate of the series or parallel survival at t.
+
+    t is a float or a 1-D array of times; every time is counted on the
+    same draw_count draws, one block at a time.
+    """
     if structure not in ("series", "parallel"):
         raise DomainError(f"structure must be 'series' or 'parallel', got {structure!r}")
-    if not t > 0:
-        raise DomainError(f"t must be > 0, got {t}")
-    samples = sample_model(model, draw_count, policy)
-    life = samples.min(axis=1) if structure == "series" else samples.max(axis=1)
-    value = float(np.mean(life > t))
-    stderr = math.sqrt(value * (1.0 - value) / draw_count)
+    t, _ = _times(t)
+    survivors = 0
+    for x in _lifetime_blocks(model, draw_count, policy):
+        life = np.sort(x.min(axis=1) if structure == "series" else x.max(axis=1))
+        survivors += life.size - np.searchsorted(life, t, side="right")
+    value = survivors / draw_count
+    stderr = np.sqrt(value * (1.0 - value) / draw_count)
+    if not isinstance(t, np.ndarray):
+        value, stderr = float(value), float(stderr)
     return SimEstimate(
         value=value, stderr=stderr, n_samples=draw_count, seed=policy.seed
     )

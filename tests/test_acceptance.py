@@ -26,9 +26,7 @@ from deperr import (
     lemma_g,
     parallel_sf_ie,
     relative_error,
-    sample_lee,
-    sample_mome,
-    sample_momw,
+    sample_model,
     series_metric,
     validate_model,
 )
@@ -246,18 +244,15 @@ def test_criterion_6_monte_carlo(capsys):
                   scales=(0.9, 1.1, 1.3))
     )
     cases = [
-        ("common-shock exp", mome, (0.3, 0.6, 1.0, 1.5, 2.0),
-         lambda p: sample_mome(mome.rates, n_draws, p)),
+        ("common-shock exp", mome, (0.3, 0.6, 1.0, 1.5, 2.0)),
         # both sides of t = 1, where the diagonal exponents switch
         ("common-shock Weibull", momw, (0.2, 0.5, 0.8, 1.0, 1.2, 1.4, 1.7,
-                                        2.0),
-         lambda p: sample_momw(momw.rates, momw.shapes, n_draws, p)),
-        ("common-shape Weibull", lee, (0.3, 0.6, 1.0, 1.5, 2.0),
-         lambda p: sample_lee(lee.rates, lee.alpha, lee.scales, n_draws, p)),
+                                        2.0)),
+        ("common-shape Weibull", lee, (0.3, 0.6, 1.0, 1.5, 2.0)),
     ]
 
-    for seed, (label, model, ts, sampler) in enumerate(cases, start=600):
-        x = sampler(RngPolicy(seed))
+    for seed, (label, model, ts) in enumerate(cases, start=600):
+        x = sample_model(model, n_draws, RngPolicy(seed))
         mins = x.min(axis=1)
         maxs = x.max(axis=1)
         for t in ts:
@@ -273,7 +268,8 @@ def test_criterion_6_monte_carlo(capsys):
                 checks += 1
                 if z > 3.5:
                     failures.append(f"{label} {struct} t={t}: z={z:.2f}")
-        if not np.array_equal(x, sampler(RngPolicy(seed))):
+        rerun = sample_model(model, n_draws, RngPolicy(seed))
+        if not np.array_equal(x, rerun):
             failures.append(f"{label}: rerun with same seed not bit-identical")
 
     a = estimate_system_sf(mome, "series", 1.0, 100_000, RngPolicy(610))

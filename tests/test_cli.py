@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from deperr import MetricKind
+from deperr import MetricKind, simulate
 from deperr.cli import (
     EXIT_CAPABILITY,
     EXIT_CONFIG,
@@ -313,6 +313,19 @@ class TestOutput:
                 output="x.csv",
             )
 
+    def test_simulate_draws_once_for_the_grid(self, tmp_path, monkeypatch):
+        opened = []
+        stream = simulate._subset_stream
+
+        def counted(seed, subset_index):
+            opened.append(subset_index)
+            return stream(seed, subset_index)
+
+        monkeypatch.setattr(simulate, "_subset_stream", counted)
+        data = base_config(tmp_path, command="simulate", samples=1000, seed=5)
+        self.run_csv(tmp_path, data)  # 4 grid points, 3 rated subsets
+        assert opened == [0, 1, 2]
+
 
 class TestGolden:
     @pytest.mark.parametrize(
@@ -411,6 +424,18 @@ class TestMalformedConfig:
                             base_config(tmp_path, rates=rates))
         assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
         assert "rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_lee_scale_power_overflow_exit_2(self, tmp_path, capsys, command):
+        # 1.3**1e300 is inf, and inf * 0.5**1e300 = inf * 0 is nan
+        data = json.loads((DATA / "simulate_lee.json").read_text())
+        data.update(command=command, alpha=1e300,
+                    output=str(tmp_path / "out.csv"))
+        path = write_config(tmp_path, "lee.json", data)
+        assert main([command, "--model", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert names_key(err, "alpha") and names_key(err, "c")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000])
     def test_unreadable_config_exits_2(self, tmp_path, content):

@@ -13,6 +13,7 @@ from deperr import (
     MetricKind,
     ModelSpec,
     ValidationError,
+    closed_form_error,
     independent_counterpart,
     joint_sf,
     series_hazard,
@@ -73,6 +74,15 @@ class TestValidation:
             validate_model(
                 ModelSpec("LeeII", 2, {(1,): 1.0, (2,): 1.0},
                           shapes=(1.0, 1.0), stable_exponent=1.5)
+            )
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.3), (0.5, 1.0)])
+    def test_lee_ml_scale_powers_in_float_range(self, scales):
+        # c_i**alpha overflows to inf or underflows to 0
+        with pytest.raises(ValidationError, match=r"alpha: .*scales \(c\)"):
+            validate_model(
+                ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5}, alpha=1e300,
+                          scales=scales)
             )
 
     def test_foreign_parameter_rejected(self):
@@ -359,6 +369,18 @@ class TestArrayKernel:
                                                                   rel=1e-14)
         assert series_hazard(m, np.array([1.0]))[0][0] == pytest.approx(
             exact, rel=1e-14)
+
+    def test_lee_ml_float_t_beyond_float_range(self):
+        # t**alpha overflows: the float path gives the array path's 0.0
+        m = validate_model(
+            ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5, (1, 2): 0.4},
+                      alpha=1e300, scales=(1.0, 1.0))
+        )
+        with np.errstate(over="ignore"):
+            sf = series_metric(m, "sf", 1.5)
+            err = closed_form_error(m, "sf", 1.5)
+            assert sf == series_metric(m, "sf", np.array([1.5]))[0] == 0.0
+            assert err == closed_form_error(m, "sf", np.array([1.5]))[0]
 
     def test_array_t_rejects_nonpositive_and_2d(self):
         m = mome({(1,): 1.0, (2,): 1.0})

@@ -1,6 +1,7 @@
 """Shock-model samplers, Monte Carlo estimates, and finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,72 +17,73 @@ from deperr import (
     estimate_system_sf,
     finite_diff_metric,
     parallel_sf_ie,
-    sample_lee,
-    sample_mome,
-    sample_momw,
+    sample_model,
     series_metric,
     validate_model,
 )
-from deperr.models import SubsetRates
+from deperr.simulate import _BLOCK
 
 from conftest import random_model
 
 N_DRAWS = 200_000
 
 
-def rates_of(mapping, n):
-    return SubsetRates.from_mapping(n, mapping)
+def model_of(family, mapping, n, **params):
+    return validate_model(ModelSpec(family, n, mapping, **params))
 
 
 class TestSamplers:
     def test_exponential_mean(self):
-        r = rates_of({(1,): 2.0}, 1)
-        x = sample_mome(r, N_DRAWS, RngPolicy(1))
+        m = model_of("IndepExp", {(1,): 2.0}, 1)
+        x = sample_model(m, N_DRAWS, RngPolicy(1))
         se = 0.5 / math.sqrt(N_DRAWS)
         assert abs(x.mean() - 0.5) < 3 * se
 
     def test_common_shock_identical(self):
-        r = rates_of({(1, 2): 1.0}, 2)
-        x = sample_mome(r, 1000, RngPolicy(2))
+        m = model_of("MOME", {(1, 2): 1.0}, 2)
+        x = sample_model(m, 1000, RngPolicy(2))
         assert np.array_equal(x[:, 0], x[:, 1])
 
     def test_series_min_survival(self):
-        r = rates_of({(1,): 1.0, (2,): 1.0, (1, 2): 1.0}, 2)
-        x = sample_mome(r, N_DRAWS, RngPolicy(3))
+        m = model_of("MOME", {(1,): 1.0, (2,): 1.0, (1, 2): 1.0}, 2)
+        x = sample_model(m, N_DRAWS, RngPolicy(3))
         p = float((x.min(axis=1) > 1.0).mean())
         target = math.exp(-3.0)
         se = math.sqrt(target * (1 - target) / N_DRAWS)
         assert abs(p - target) < 3 * se
 
     def test_momw_unit_shapes_match_mome(self):
-        r = rates_of({(1,): 1.0, (2,): 0.5, (1, 2): 0.3}, 2)
-        a = sample_mome(r, 1000, RngPolicy(4))
-        b = sample_momw(r, (1.0, 1.0), 1000, RngPolicy(4))
+        r = {(1,): 1.0, (2,): 0.5, (1, 2): 0.3}
+        a = sample_model(model_of("MOME", r, 2), 1000, RngPolicy(4))
+        b = sample_model(model_of("MOMW", r, 2, shapes=(1.0, 1.0)), 1000,
+                         RngPolicy(4))
         assert np.array_equal(a, b)
 
     def test_momw_weibull_survival(self):
-        r = rates_of({(1,): 1.0}, 1)
-        x = sample_momw(r, (2.0,), N_DRAWS, RngPolicy(5))
+        m = model_of("MOMW", {(1,): 1.0}, 1, shapes=(2.0,))
+        x = sample_model(m, N_DRAWS, RngPolicy(5))
         p = float((x[:, 0] > 1.0).mean())
         target = math.exp(-1.0)
         se = math.sqrt(target * (1 - target) / N_DRAWS)
         assert abs(p - target) < 3 * se
 
     def test_momw_power_coupling(self):
-        r = rates_of({(1,): 1e-9, (2,): 1e-9, (1, 2): 1.0}, 2)
-        x = sample_momw(r, (1.0, 2.0), 2000, RngPolicy(6))
+        m = model_of("MOMW", {(1,): 1e-9, (2,): 1e-9, (1, 2): 1.0}, 2,
+                     shapes=(1.0, 2.0))
+        x = sample_model(m, 2000, RngPolicy(6))
         # common shock: X2**2 equals X1 whenever the shock dominates
         assert np.allclose(x[:, 1] ** 2, x[:, 0], rtol=1e-9)
 
     def test_lee_reduces_to_mome(self):
-        r = rates_of({(1,): 1.0, (2,): 1.0, (1, 2): 0.5}, 2)
-        a = sample_mome(r, 1000, RngPolicy(7))
-        b = sample_lee(r, 1.0, (1.0, 1.0), 1000, RngPolicy(7))
+        r = {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}
+        a = sample_model(model_of("MOME", r, 2), 1000, RngPolicy(7))
+        b = sample_model(model_of("LeeML", r, 2, alpha=1.0, scales=(1.0, 1.0)),
+                         1000, RngPolicy(7))
         assert np.array_equal(a, b)
 
     def test_lee_scaled_mean(self):
-        r = rates_of({(1,): 1.0}, 1)
-        x = sample_lee(r, 1.0, (2.0,), N_DRAWS, RngPolicy(8))
+        m = model_of("LeeML", {(1,): 1.0}, 1, alpha=1.0, scales=(2.0,))
+        x = sample_model(m, N_DRAWS, RngPolicy(8))
         se = 0.5 / math.sqrt(N_DRAWS)
         assert abs(x.mean() - 0.5) < 3 * se
 
@@ -90,7 +92,7 @@ class TestSamplers:
             ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5, (1, 2): 0.4},
                       alpha=1.5, scales=(1.0, 1.3))
         )
-        x = sample_lee(m.rates, m.alpha, m.scales, N_DRAWS, RngPolicy(9))
+        x = sample_model(m, N_DRAWS, RngPolicy(9))
         t = 0.8
         p = float((x.min(axis=1) > t).mean())
         target = series_metric(m, MetricKind.SF, t)
@@ -99,15 +101,16 @@ class TestSamplers:
 
     def test_zero_draws_rejected(self):
         with pytest.raises(DomainError):
-            sample_mome(rates_of({(1,): 1.0}, 1), 0)
+            sample_model(model_of("IndepExp", {(1,): 1.0}, 1), 0)
 
     def test_power_map_recovers_exponential_marginals(self):
         # KS two-sample: alpha-powered Weibull draws vs direct exponential
-        r = rates_of({(1,): 0.7, (2,): 1.2, (1, 2): 0.5}, 2)
+        r = {(1,): 0.7, (2,): 1.2, (1, 2): 0.5}
         shapes = (0.8, 2.2)
         n = 100_000
-        weib = sample_momw(r, shapes, n, RngPolicy(10))
-        expo = sample_mome(r, n, RngPolicy(11))
+        weib = sample_model(model_of("MOMW", r, 2, shapes=shapes), n,
+                            RngPolicy(10))
+        expo = sample_model(model_of("MOME", r, 2), n, RngPolicy(11))
         crit = 1.628 * math.sqrt(2.0 * n / (n * n))  # 1% two-sample critical
         for i in range(2):
             stat = stats.ks_2samp(weib[:, i] ** shapes[i], expo[:, i]).statistic
@@ -145,6 +148,45 @@ class TestEstimates:
         m = random_model(family, 2, rng)
         with pytest.raises(CapabilityError, match="finite_diff"):
             estimate_system_sf(m, "series", 1.0, 100)
+
+    @pytest.mark.parametrize("structure", ["series", "parallel"])
+    def test_blocks_match_stacked_draws(self, structure):
+        # two full blocks and a partial one, counted per block
+        m = model_of("LeeML", {(1,): 0.3, (2,): 0.4, (3,): 0.3, (2, 3): 0.2},
+                     3, alpha=1.5, scales=(0.9, 1.1, 1.3))
+        draws = 2 * _BLOCK + 17
+        x = sample_model(m, draws, RngPolicy(16))
+        life = x.min(axis=1) if structure == "series" else x.max(axis=1)
+        ts = [0.3, float(life[-1]), 0.8, 1.5]  # one t ties a drawn lifetime
+        est = estimate_system_sf(m, structure, np.array(ts), draws,
+                                 RngPolicy(16))
+        assert est.value.tolist() == [
+            float(np.mean(life > t)) for t in ts
+        ]
+
+    def test_array_t_equals_float_t(self):
+        m = model_of("MOMW", {(1,): 0.7, (2,): 1.2, (1, 2): 0.5}, 2,
+                     shapes=(0.8, 2.2))
+        ts = np.geomspace(0.1, 3.0, 9)
+        est = estimate_system_sf(m, "parallel", ts, 10_000, RngPolicy(17))
+        for k, t in enumerate(ts.tolist()):
+            one = estimate_system_sf(m, "parallel", t, 10_000, RngPolicy(17))
+            assert type(one.value) is float and type(one.stderr) is float
+            assert (one.value, one.stderr) == (est.value[k], est.stderr[k])
+
+    def test_memory_bounded_by_block(self):
+        # the (1e6, 24) lifetime matrix alone would take 192 MB
+        n = 24
+        rates = {(i,): 0.1 for i in range(1, n + 1)}
+        rates[tuple(range(1, n + 1))] = 0.05
+        m = model_of("MOME", rates, n)
+        tracemalloc.start()
+        try:
+            estimate_system_sf(m, "series", 1.0, 1_000_000, RngPolicy(18))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_bit_identical_reruns(self):
         m = validate_model(ModelSpec("MOME", 3, {(1,): 0.5, (2,): 0.5, (3,): 0.5,
