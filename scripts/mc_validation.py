@@ -17,7 +17,6 @@ import numpy as np
 from deperr import (
     MetricKind,
     ModelSpec,
-    RngPolicy,
     estimate_system_sf,
     parallel_sf_ie,
     series_metric,
@@ -53,7 +52,7 @@ def main() -> None:
     for model, ts in cases():
         for structure in ("series", "parallel"):
             est = estimate_system_sf(
-                model, structure, np.array(ts), args.draws, RngPolicy(args.seed)
+                model, structure, np.array(ts), args.draws, args.seed
             )
             for t, value in zip(ts, est.value.tolist()):
                 if structure == "series":

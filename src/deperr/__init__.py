@@ -26,7 +26,6 @@ from .models import (
     Family,
     MetricKind,
     ModelSpec,
-    SubsetRates,
     ValidatedModel,
     independent_counterpart,
     joint_sf,
@@ -41,7 +40,6 @@ from .parallel import (
     parallel_sf_ie,
 )
 from .simulate import (
-    RngPolicy,
     SimEstimate,
     estimate_system_sf,
     finite_diff_metric,
@@ -61,10 +59,8 @@ __all__ = [
     "MetricKind",
     "ModelSpec",
     "ParallelResult",
-    "RngPolicy",
     "SimEstimate",
     "SingularityError",
-    "SubsetRates",
     "ValidatedModel",
     "ValidationError",
     "ZeroDenominatorError",

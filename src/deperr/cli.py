@@ -41,7 +41,7 @@ from .models import (
 )
 from .numerics import is_integer
 from .parallel import _ie_sum, _relative_to_independent, parallel_sf_ie
-from .simulate import RngPolicy, estimate_system_sf
+from .simulate import estimate_system_sf
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,8 +52,12 @@ EXIT_IO = 5
 COMMANDS = ("eval", "errors", "classify", "parallel", "simulate")
 STRUCTURES = ("series", "parallel")
 
-_MODEL_KEYS = {"family", "n", "rates", "shapes", "gamma", "l", "alpha", "c",
-               "delta", "m"}
+# (ModelSpec/ValidatedModel field, config key) of each parameter after the
+# rates, in the order model_to_dict writes them
+_MODEL_FIELDS = (("shapes", "shapes"), ("gamma", "gamma"),
+                 ("stable_exponent", "l"), ("alpha", "alpha"), ("scales", "c"),
+                 ("delta", "delta"), ("m", "m"))
+_MODEL_KEYS = {"family", "n", "rates", *(key for _, key in _MODEL_FIELDS)}
 _RUN_KEYS = _MODEL_KEYS | {"command", "grid", "metric", "samples", "seed",
                            "structure", "output"}
 _GRID_KEYS = {"start", "stop", "count", "spacing"}
@@ -114,13 +118,7 @@ def model_from_dict(data: dict) -> ValidatedModel:
         family=data["family"],
         n=data["n"],
         rates=[(e["subset"], e["lambda"]) for e in rates],
-        shapes=data.get("shapes"),
-        gamma=data.get("gamma"),
-        stable_exponent=data.get("l"),
-        alpha=data.get("alpha"),
-        scales=data.get("c"),
-        delta=data.get("delta"),
-        m=data.get("m"),
+        **{field: data.get(key) for field, key in _MODEL_FIELDS},
     )
     try:
         return validate_model(spec)
@@ -138,18 +136,10 @@ def model_to_dict(model: ValidatedModel) -> dict:
             for mask, rate in model.rates.items
         ],
     }
-    if model.shapes is not None:
-        out["shapes"] = list(model.shapes)
-    if model.family.value in ("Crowder", "LeeII"):
-        out["gamma"] = model.gamma
-        out["l"] = model.stable_exponent
-    if model.alpha is not None:
-        out["alpha"] = model.alpha
-    if model.scales is not None:
-        out["c"] = list(model.scales)
-    if model.delta is not None:
-        out["delta"] = model.delta
-        out["m"] = model.m
+    for field, key in _MODEL_FIELDS:  # validation leaves foreign fields None
+        value = getattr(model, field)
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -317,10 +307,9 @@ def _run_parallel(config: RunConfig) -> str:
 
 
 def _run_simulate(config: RunConfig) -> str:
-    policy = RngPolicy(seed=config.seed if config.seed is not None else 0)
     t = config.grid.points()
     est = estimate_system_sf(
-        config.model, config.structure, t, config.samples, policy
+        config.model, config.structure, t, config.samples, config.seed or 0
     )
     if config.structure == "series":
         analytic = series_metric(config.model, MetricKind.SF, t).tolist()

@@ -112,7 +112,12 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     t, tc = _times(t)
     fam = model.family
 
-    if fam in (Family.INDEP_EXP, Family.INDEP_WEIBULL):
+    if fam in (Family.INDEP_EXP, Family.INDEP_WEIBULL) or (
+        fam in (Family.MOME, Family.LEE_ML)
+        and not model.rates.interaction_members
+    ):
+        # A product model: no dependence, so the error is exactly 0, where
+        # the forms below could meet 0 * inf.
         return _fill(t, 0.0)
 
     if fam is Family.MOME:
@@ -177,7 +182,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
 
     if fam is Family.LEE_ML:
         lam_l = model._lee_total
-        s = model._lee_indep_total
+        s = independent_counterpart(model)._lee_total
         if s == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         ta = power(t, model.alpha)
@@ -272,11 +277,9 @@ class AgingClass:
     evidence_grid: tuple[float, ...]
 
 
-def _monotone_verdict(
-    values: np.ndarray, up: str, down: str, tol: float
-) -> tuple[str, bool]:
+def _monotone_verdict(values: np.ndarray, up: str, down: str) -> tuple[str, bool]:
     diffs = np.diff(values)
-    scale = tol * (1.0 + np.abs(values[:-1]))
+    scale = MONOTONE_TOL * (1.0 + np.abs(values[:-1]))
     nondecreasing = bool(np.all(diffs >= -scale))
     nonincreasing = bool(np.all(diffs <= scale))
     if nondecreasing and nonincreasing:
@@ -288,26 +291,24 @@ def _monotone_verdict(
     return "neither", False
 
 
-def classify_aging(
-    model: ValidatedModel, grid: GridLike, tol: float = MONOTONE_TOL
-) -> AgingClass:
+def classify_aging(model: ValidatedModel, grid: GridLike) -> AgingClass:
     """Classify IFR/DFR, IFRA/DFRA, and IAI/DAI behavior on a grid.
 
     IFRA/DFRA follow from the aging intensity threshold at 1 (a system is
     IFRA exactly when AI >= 1 everywhere, DFRA when AI <= 1); when AI is
     identically 1 both conditions hold and IFRA is reported.  FR and AI
-    monotonicity are judged to within `tol`, with constants flagged.
+    monotonicity are judged to within MONOTONE_TOL, with constants flagged.
     """
     pts = grid_points(grid, minimum=3)
     h, fr = series_hazard(model, pts)
     ai = _metric_values(MetricKind.AI, pts, h, fr)
 
-    frclass, fr_constant = _monotone_verdict(fr, "IFR", "DFR", tol)
-    aiclass, ai_constant = _monotone_verdict(ai, "IAI", "DAI", tol)
+    frclass, fr_constant = _monotone_verdict(fr, "IFR", "DFR")
+    aiclass, ai_constant = _monotone_verdict(ai, "IAI", "DAI")
 
-    if np.all(ai >= 1.0 - tol):
+    if np.all(ai >= 1.0 - MONOTONE_TOL):
         fraclass = "IFRA"
-    elif np.all(ai <= 1.0 + tol):
+    elif np.all(ai <= 1.0 + MONOTONE_TOL):
         fraclass = "DFRA"
     else:
         fraclass = "neither"

@@ -51,16 +51,6 @@ class MetricKind(str, Enum):
     AI = "ai"
 
 
-# Families whose rate map may carry subsets of size >= 2.
-INTERACTING_FAMILIES = frozenset(
-    {Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML}
-)
-# Families parameterized by a per-component Weibull shape vector.
-SHAPED_FAMILIES = frozenset(
-    {Family.INDEP_WEIBULL, Family.MOMW, Family.CROWDER, Family.LEE_II, Family.LU_BI}
-)
-
-
 def mask_members(mask: int) -> tuple[int, ...]:
     """0-based component indices contained in a bitmask subset."""
     out = []
@@ -151,25 +141,12 @@ class SubsetRates:
         return vec
 
     @cached_property
-    def marginal_totals(self) -> np.ndarray:
-        """Sum of lambda_S over subsets containing each component."""
-        vec = np.zeros(self.n)
-        for mask, rate in self.items:
-            for i in mask_members(mask):
-                vec[i] += rate
-        return vec
-
-    @cached_property
     def size_totals(self) -> np.ndarray:
         """a_p = sum of lambda_S over |S| = p, for p = 1..n (index p-1)."""
         vec = np.zeros(self.n)
         for mask, rate in self.items:
             vec[mask.bit_count() - 1] += rate
         return vec
-
-    @cached_property
-    def mask_array(self) -> np.ndarray:
-        return np.array([mask for mask, _ in self.items], dtype=np.int64)
 
     @cached_property
     def rate_array(self) -> np.ndarray:
@@ -191,9 +168,6 @@ class SubsetRates:
             for mask, rate in self.items
             if mask.bit_count() > 1
         )
-
-    def max_order(self) -> int:
-        return max((mask.bit_count() for mask, _ in self.items), default=0)
 
     def singletons_only(self) -> "SubsetRates":
         return SubsetRates(
@@ -311,11 +285,6 @@ class ValidatedModel:
             )
         )
 
-    @cached_property
-    def _lee_indep_total(self) -> float:
-        """sum_i lambda_i * c_i**alpha (singleton part of the hazard)."""
-        return float(np.dot(self.rates.singleton_vector, self._scale_powers))
-
 
 # Messages name these fields with their config keys too.
 _L = "stable_exponent (l)"
@@ -388,19 +357,24 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         raise ValidationError(
             "rates: total rate exceeds the float range"
         ) from None
-    if family not in INTERACTING_FAMILIES and rates.max_order() > 1:
+    interacting = (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
+    if family not in interacting and rates.interaction_members:
         raise ValidationError(
             f"rates: family {family.value} admits only singleton subsets"
         )
-    marginals = rates.marginal_totals
+    # rates are > 0: a component has zero total rate iff no subset holds it
+    covered = 0
+    for mask, _ in rates.items:
+        covered |= mask
     for i in range(n):
-        if not marginals[i] > 0:
+        if not covered >> i & 1:
             raise ValidationError(
                 f"rates: component {i + 1} has zero total rate (n = {n})"
             )
 
     shapes = None
-    if family in SHAPED_FAMILIES:
+    if family in (Family.INDEP_WEIBULL, Family.MOMW, Family.CROWDER,
+                  Family.LEE_II, Family.LU_BI):
         shapes = _positive_vector(spec.shapes, n, "shapes")
     elif spec.shapes is not None:
         raise ValidationError("shapes: not a parameter of this family")
@@ -526,6 +500,10 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
         )
     if not (vec >= 0).all():  # also catches NaN
         raise DomainError("x coordinates must be nonnegative")
+    if np.isinf(vec).any():
+        # Every component has a positive total rate, so P(X_i > inf) = 0;
+        # the kernel would meet 0 * inf (MG1 products, LuBI with delta 0).
+        return 0.0
     return clamp_unit(math.exp(-_joint_hazard(model, vec)))
 
 
@@ -609,12 +587,10 @@ def series_hazard(model: ValidatedModel, t):
     tp = tc**al
     s = _dot(lam, tp)
     ds = _dot(slopes, tp) / t
-    if fam is Family.INDEP_WEIBULL:
-        return s, ds
     if fam in (Family.CROWDER, Family.LEE_II):
         g, ell = model.gamma, model.stable_exponent
         return power_gap(g, s, ell), ell * (g + s) ** (ell - 1.0) * ds
-    if fam is Family.LU_BI:
+    if fam is Family.LU_BI and model.delta > 0.0:
         root, root_exps, root_slopes = model._lubi_terms
         mm = model.m
         up = tc**root_exps
@@ -624,7 +600,9 @@ def series_hazard(model: ValidatedModel, t):
             s + model.delta * u**mm,
             ds + model.delta * mm * u ** (mm - 1.0) * du,
         )
-    raise AssertionError(f"unhandled family {fam}")
+    # IndepWeibull, or LuBI with delta = 0: its delta * u**m would be 0 * inf
+    # at t = inf
+    return s, ds
 
 
 def _sf_value(h: float) -> float:
@@ -633,7 +611,10 @@ def _sf_value(h: float) -> float:
 
 def _rhr_value(h: float, dh: float) -> float:
     # RHR = H' / (exp(H) - 1); for very large H the denominator overflows,
-    # but the limit is H'*exp(-H) which underflows to 0 consistently.
+    # but the limit is H'*exp(-H) which underflows to 0 consistently; at
+    # H = inf it is 0, where that product may be inf * 0.
+    if h == math.inf:
+        return 0.0
     if h > 700.0:
         return dh * math.exp(-h)
     return dh / math.expm1(h)
@@ -652,6 +633,11 @@ def _metric_values(metric: MetricKind, t, h, dh):
             f"{metric.value} undefined"
         )
     if metric is MetricKind.AI:
+        bad = _first_where(t, h == math.inf)
+        if bad is not None:
+            raise SingularityError(
+                f"cumulative hazard is inf at t={bad}; ai is inf/inf there"
+            )
         return t * dh / h
     return each(_rhr_value, h, dh)
 

@@ -30,8 +30,12 @@ def each(fn, *args):
 
 
 def power(t, a: float):
-    """t**a by numpy's loop, so a float t (giving a float) matches a batch."""
-    p = np.power(t, a)
+    """t**a by numpy's loop, so a float t (giving a float) matches a batch.
+
+    A power beyond the float range is inf, silently: the callers take it.
+    """
+    with np.errstate(over="ignore"):
+        p = np.power(t, a)
     return p if isinstance(t, np.ndarray) else float(p)
 
 

@@ -137,7 +137,7 @@ def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
     fam = model.family
     if fam not in (Family.INDEP_EXP, Family.MOME, Family.MG1):
         return None
-    shocks = model.rates.mask_array.tolist()
+    shocks = [mask for mask, _ in model.rates.items]
     rates = model.rates.rate_array
     inside_only = fam is Family.MG1
     if inside_only:  # numpy powers overflow to inf, not OverflowError

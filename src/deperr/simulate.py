@@ -34,18 +34,8 @@ from .models import (
     series_metric,
 )
 
-SAMPLABLE_FAMILIES = frozenset(
-    {Family.INDEP_EXP, Family.MOME, Family.INDEP_WEIBULL, Family.MOMW, Family.LEE_ML}
-)
 # Rows per lifetime block: 65 536 x 24 components x 8 B is 12.6 MB.
 _BLOCK = 65_536
-
-
-@dataclass(frozen=True)
-class RngPolicy:
-    """Seed plus the counter-based stream discipline (fixed per subset)."""
-
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -66,10 +56,11 @@ def _subset_stream(seed: int, subset_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _lifetime_blocks(model: ValidatedModel, draw_count: int, policy: RngPolicy):
+def _lifetime_blocks(model: ValidatedModel, draw_count: int, seed: int = 0):
     """Consecutive (rows, n) lifetime blocks, draw_count rows in all."""
     fam = model.family
-    if fam not in SAMPLABLE_FAMILIES:
+    if fam not in (Family.INDEP_EXP, Family.MOME, Family.INDEP_WEIBULL,
+                   Family.MOMW, Family.LEE_ML):
         raise CapabilityError(
             f"family {fam.value} has no shock-model sampler; "
             "use finite_diff_metric for validation"
@@ -77,7 +68,7 @@ def _lifetime_blocks(model: ValidatedModel, draw_count: int, policy: RngPolicy):
     if draw_count < 1:
         raise DomainError(f"draw_count must be >= 1, got {draw_count}")
     shocks = [
-        (mask_members(mask), lam, _subset_stream(policy.seed, j))
+        (mask_members(mask), lam, _subset_stream(seed, j))
         for j, (mask, lam) in enumerate(model.rates.items)
     ]
     for start in range(0, draw_count, _BLOCK):
@@ -98,18 +89,14 @@ def _lifetime_blocks(model: ValidatedModel, draw_count: int, policy: RngPolicy):
 
 
 def sample_model(
-    model: ValidatedModel, draw_count: int, policy: RngPolicy = RngPolicy()
+    model: ValidatedModel, draw_count: int, seed: int = 0
 ) -> np.ndarray:
     """(draw_count, n) lifetimes of a samplable family, else CapabilityError."""
-    return np.concatenate(list(_lifetime_blocks(model, draw_count, policy)))
+    return np.concatenate(list(_lifetime_blocks(model, draw_count, seed)))
 
 
 def estimate_system_sf(
-    model: ValidatedModel,
-    structure: str,
-    t,
-    draw_count: int,
-    policy: RngPolicy = RngPolicy(),
+    model: ValidatedModel, structure: str, t, draw_count: int, seed: int = 0
 ) -> SimEstimate:
     """Monte Carlo estimate of the series or parallel survival at t.
 
@@ -120,16 +107,14 @@ def estimate_system_sf(
         raise DomainError(f"structure must be 'series' or 'parallel', got {structure!r}")
     t, _ = _times(t)
     survivors = 0
-    for x in _lifetime_blocks(model, draw_count, policy):
+    for x in _lifetime_blocks(model, draw_count, seed):
         life = np.sort(x.min(axis=1) if structure == "series" else x.max(axis=1))
         survivors += life.size - np.searchsorted(life, t, side="right")
     value = survivors / draw_count
     stderr = np.sqrt(value * (1.0 - value) / draw_count)
     if not isinstance(t, np.ndarray):
         value, stderr = float(value), float(stderr)
-    return SimEstimate(
-        value=value, stderr=stderr, n_samples=draw_count, seed=policy.seed
-    )
+    return SimEstimate(value=value, stderr=stderr, n_samples=draw_count, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -149,26 +134,20 @@ def _log_sf(model: ValidatedModel, t: float) -> float:
 
 
 def finite_diff_metric(
-    model: ValidatedModel,
-    metric: MetricKind,
-    t: float,
-    step: float = 1e-4,
+    model: ValidatedModel, metric: MetricKind, t: float
 ) -> float:
     """FR/RHR/AI from central differences of the series survival.
 
     Independent of the per-family closed forms: only SF evaluations are
-    used.  `step` is relative; the absolute stencil is
-    h = max(step * t, 1e-8), halved once for Richardson extrapolation.
+    used.  The stencil is h = min(max(1e-4 * t, 1e-8), t / 2), halved once
+    for Richardson extrapolation.
     """
     metric = MetricKind(metric)
     if metric is MetricKind.SF:
         raise DomainError("finite differences target FR, RHR, or AI, not SF")
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
-    if not 0 < step <= 1e-2:
-        raise DomainError(f"step must be in (0, 1e-2], got {step}")
-    h = max(step * t, 1e-8)
-    h = min(h, 0.5 * t)
+    h = min(max(1e-4 * t, 1e-8), 0.5 * t)
     # The MOMW diagonal hazard switches exponents at t = 1, so its FR jumps
     # there; a stencil that would straddle 1 stays on t's side of it.
     side = 0

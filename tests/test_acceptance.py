@@ -17,7 +17,6 @@ from deperr import (
     Family,
     MetricKind,
     ModelSpec,
-    RngPolicy,
     ZeroDenominatorError,
     classify_aging,
     closed_form_error,
@@ -252,7 +251,7 @@ def test_criterion_6_monte_carlo(capsys):
     ]
 
     for seed, (label, model, ts) in enumerate(cases, start=600):
-        x = sample_model(model, n_draws, RngPolicy(seed))
+        x = sample_model(model, n_draws, seed)
         mins = x.min(axis=1)
         maxs = x.max(axis=1)
         for t in ts:
@@ -268,12 +267,12 @@ def test_criterion_6_monte_carlo(capsys):
                 checks += 1
                 if z > 3.5:
                     failures.append(f"{label} {struct} t={t}: z={z:.2f}")
-        rerun = sample_model(model, n_draws, RngPolicy(seed))
+        rerun = sample_model(model, n_draws, seed)
         if not np.array_equal(x, rerun):
             failures.append(f"{label}: rerun with same seed not bit-identical")
 
-    a = estimate_system_sf(mome, "series", 1.0, 100_000, RngPolicy(610))
-    b = estimate_system_sf(mome, "series", 1.0, 100_000, RngPolicy(610))
+    a = estimate_system_sf(mome, "series", 1.0, 100_000, 610)
+    b = estimate_system_sf(mome, "series", 1.0, 100_000, 610)
     if a != b:
         failures.append("estimator rerun with same seed not bit-identical")
 

@@ -155,6 +155,17 @@ class TestExitCodes:
         path = write_config(tmp_path, "dom.json", data)
         assert main(["classify", "--model", str(path)]) == EXIT_DOMAIN
 
+    def test_infinite_hazard_ai_exits_3(self, tmp_path, capsys):
+        # t**alpha is inf on the whole grid, where AI is inf/inf
+        data = base_config(tmp_path, family="LeeML", alpha=1e300, c=[1.0, 1.0])
+        data["rates"][2]["lambda"] = 0.4
+        data["grid"] = {"start": 1.2, "stop": 2.0, "count": 3,
+                        "spacing": "linear"}
+        path = write_config(tmp_path, "inf.json", data)
+        assert main(["eval", "--model", str(path)]) == EXIT_DOMAIN
+        assert "t=1.2" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_capability_error(self, tmp_path):
         data = base_config(
             tmp_path, family="MG1", command="simulate", samples=100, seed=1

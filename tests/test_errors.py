@@ -107,6 +107,19 @@ class TestClosedForms:
         )
         assert closed_form_error(m, MetricKind.SF, 2.0) == 0.0
 
+    @pytest.mark.parametrize("spec,t", [
+        (ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5}, alpha=1e300,
+                   scales=(1.0, 1.0)), 1.5),  # t**alpha is inf
+        (ModelSpec("MOME", 2, {(1,): 0.5, (2,): 0.5}), math.inf),
+    ])
+    def test_product_model_error_is_zero(self, spec, t):
+        # no interaction subset: the model is its own independent product,
+        # where the closed forms would meet 0 * inf
+        m = validate_model(spec)
+        for metric in METRICS:
+            assert closed_form_error(m, metric, t) == 0.0
+            assert closed_form_error(m, metric, np.array([t])).tolist() == [0.0]
+
     @pytest.mark.parametrize(
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]
     )

@@ -12,6 +12,7 @@ from deperr import (
     Family,
     MetricKind,
     ModelSpec,
+    SingularityError,
     ValidationError,
     closed_form_error,
     independent_counterpart,
@@ -119,6 +120,16 @@ class TestJointSF:
         m = mome({(1,): 1.0, (2,): 1.0})
         with pytest.raises(DomainError):
             joint_sf(m, [1.0])
+
+    @pytest.mark.parametrize("family,n,rates,params,x", [
+        ("MG1", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}, {}, [math.inf, 0.0]),
+        ("LuBI", 2, {(1,): 1.0, (2,): 0.5},
+         {"shapes": (1.5, 2.0), "delta": 0.0, "m": 1.5}, [math.inf, math.inf]),
+    ], ids=["MG1", "LuBI"])
+    def test_infinite_coordinate_is_zero(self, family, n, rates, params, x):
+        # every component fails in finite time; the kernel would meet 0 * inf
+        m = validate_model(ModelSpec(family, n, rates, **params))
+        assert joint_sf(m, x) == 0.0
 
     def test_componentwise_nonincreasing(self, rng):
         for family in ALL_FAMILIES:
@@ -282,7 +293,8 @@ class TestCounterpartAndAggregates:
             g = random_model("MG1", 4, rng)
             assert all(a >= 0 for a in g.rates.size_totals)
             lee = random_model("LeeML", 3, rng)
-            assert lee._lee_total >= lee._lee_indep_total - 1e-12
+            indep = independent_counterpart(lee)
+            assert lee._lee_total >= indep._lee_total - 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,6 +393,24 @@ class TestArrayKernel:
             err = closed_form_error(m, "sf", 1.5)
             assert sf == series_metric(m, "sf", np.array([1.5]))[0] == 0.0
             assert err == closed_form_error(m, "sf", np.array([1.5]))[0]
+
+    @pytest.mark.parametrize("t", [1.5, np.array([1.2, 2.0])])
+    def test_rhr_and_ai_where_hazard_is_inf(self, t):
+        # t**alpha is inf, so H and H' are inf: RHR has its limit 0, and AI
+        # is inf/inf
+        m = validate_model(
+            ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5, (1, 2): 0.4},
+                      alpha=1e300, scales=(1.0, 1.0))
+        )
+        assert np.all(series_metric(m, "rhr", t) == 0.0)
+        first = t if isinstance(t, float) else t[0]
+        with pytest.raises(SingularityError, match=f"t={first}"):
+            series_metric(m, "ai", t)
+
+    def test_lu_bi_without_interaction_sf_at_infinity(self):
+        m = validate_model(ModelSpec("LuBI", 2, {(1,): 1.0, (2,): 0.5},
+                                     shapes=(1.5, 2.0), delta=0.0, m=1.5))
+        assert series_metric(m, "sf", math.inf) == 0.0
 
     def test_array_t_rejects_nonpositive_and_2d(self):
         m = mome({(1,): 1.0, (2,): 1.0})

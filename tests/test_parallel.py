@@ -120,14 +120,14 @@ def test_relative_error_zero_without_interactions(rng):
 def test_relative_error_mome_against_monte_carlo():
     # Common-shock dependence removes redundancy, so the parallel error is
     # negative; the Monte Carlo oracle confirms the magnitude.
-    from deperr import RngPolicy, estimate_system_sf, independent_counterpart
+    from deperr import estimate_system_sf, independent_counterpart
 
     m = validate_model(ModelSpec("MOME", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 1.0}))
     rel = parallel_relative_error(m, 1.0)
     n = 200_000
-    dep = estimate_system_sf(m, "parallel", 1.0, n, RngPolicy(21))
+    dep = estimate_system_sf(m, "parallel", 1.0, n, 21)
     ind = estimate_system_sf(
-        independent_counterpart(m), "parallel", 1.0, n, RngPolicy(22)
+        independent_counterpart(m), "parallel", 1.0, n, 22
     )
     mc_rel = dep.value / ind.value - 1.0
     assert rel == pytest.approx(mc_rel, abs=0.01)
