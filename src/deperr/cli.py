@@ -33,7 +33,6 @@ from .models import (
     ValidatedModel,
     _metric_values,
     _real,
-    independent_counterpart,
     mask_to_subset,
     series_hazard,
     series_metric,
@@ -218,18 +217,13 @@ def emit_config(config: RunConfig) -> str:
     """Serialize a RunConfig to canonical JSON; parse_config round-trips it."""
     data = model_to_dict(config.model)
     data["command"] = config.command
-    data["grid"] = {
-        "start": config.grid.start,
-        "stop": config.grid.stop,
-        "count": config.grid.count,
-        "spacing": config.grid.spacing,
-    }
+    data["grid"] = {key: getattr(config.grid, key)
+                    for key in ("start", "stop", "count", "spacing")}
     if config.metric is not None:
         data["metric"] = config.metric.value
-    if config.samples is not None:
-        data["samples"] = config.samples
-    if config.seed is not None:
-        data["seed"] = config.seed
+    for key in ("samples", "seed"):
+        if getattr(config, key) is not None:
+            data[key] = getattr(config, key)
     data["structure"] = config.structure
     data["output"] = config.output
     return json.dumps(data, indent=2) + "\n"
@@ -245,17 +239,11 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _csv(header: list[str], rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -295,13 +283,10 @@ def _run_classify(config: RunConfig) -> str:
 
 
 def _run_parallel(config: RunConfig) -> str:
-    indep = independent_counterpart(config.model)
     rows = []
-    for t in config.grid.points():
-        t = float(t)
+    for t in config.grid.points().tolist():
         result = parallel_sf_ie(config.model, t)
-        ind, _ = _ie_sum(indep, t)
-        rel = _relative_to_independent(result.sf_ie, ind, t)
+        rel = _relative_to_independent(config.model, result.sf_ie, t)
         rows.append([t, result.sf_ie, result.sf_closed, rel])
     return _csv(["t", "sf_ie", "sf_closed", "rel_err"], rows)
 
@@ -355,22 +340,25 @@ def _parse_grid_arg(value: str) -> dict:
         raise ConfigError(f"--grid: {exc}") from exc
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = argparse.ArgumentParser(
+    prog="dep-err",
+    description="Series/parallel reliability metrics and the relative "
+    "error of assuming independent components.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--model", required=True, help="model/run config JSON")
+_PARSER.add_argument("--metric", choices=[m.value for m in MetricKind])
+_PARSER.add_argument("--grid", help="START:STOP:COUNT:lin|log")
+_PARSER.add_argument("--samples", type=int)
+_PARSER.add_argument("--seed", type=int)
+_PARSER.add_argument("--structure", choices=STRUCTURES)
+_PARSER.add_argument("--output", help="output CSV path")
+
+
 def build_config(argv: list[str]) -> RunConfig:
     """The config file's keys, each overridden by its flag when given."""
-    parser = argparse.ArgumentParser(
-        prog="dep-err",
-        description="Series/parallel reliability metrics and the relative "
-        "error of assuming independent components.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--model", required=True, help="model/run config JSON")
-    parser.add_argument("--metric", choices=[m.value for m in MetricKind])
-    parser.add_argument("--grid", help="START:STOP:COUNT:lin|log")
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--structure", choices=STRUCTURES)
-    parser.add_argument("--output", help="output CSV path")
-    flags = vars(parser.parse_args(argv))
+    flags = vars(_PARSER.parse_args(argv))
 
     data = _read_config(flags.pop("model"))
     if flags["grid"] is not None:

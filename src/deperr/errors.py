@@ -113,8 +113,8 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     fam = model.family
 
     if fam in (Family.INDEP_EXP, Family.INDEP_WEIBULL) or (
-        fam in (Family.MOME, Family.LEE_ML)
-        and not model.rates.interaction_members
+        fam in (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
+        and not model.rates.has_interactions
     ):
         # A product model: no dependence, so the error is exactly 0, where
         # the forms below could meet 0 * inf.
@@ -134,11 +134,10 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         return _fill(t, 0.0)  # AI is identically 1 on both sides
 
     if fam is Family.MG1:
-        a, powers, slopes = model._mg1_terms
-        tp = tc**powers
-        theta = _dot(a, tp)
-        dtheta = _dot(slopes, tp / tc)
-        a1 = a[0]
+        a, powers, slopes, lower = model._mg1_terms
+        theta = _dot(a, tc**powers)
+        dtheta = _dot(slopes, tc**lower)
+        a1 = model.rates.size_totals[0]
         if a1 == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.SF:

@@ -161,6 +161,11 @@ class SubsetRates:
         return mat
 
     @cached_property
+    def has_interactions(self) -> bool:
+        """Whether a rated subset has two or more members."""
+        return any(mask & (mask - 1) for mask, _ in self.items)
+
+    @cached_property
     def interaction_members(self) -> tuple[tuple[np.ndarray, float], ...]:
         """(0-based member indices, rate) of each rated subset of size >= 2."""
         return tuple(
@@ -170,12 +175,8 @@ class SubsetRates:
         )
 
     def singletons_only(self) -> "SubsetRates":
-        return SubsetRates(
-            n=self.n,
-            items=tuple(
-                (mask, rate) for mask, rate in self.items if mask.bit_count() == 1
-            ),
-        )
+        singles = tuple(e for e in self.items if e[0].bit_count() == 1)
+        return SubsetRates(n=self.n, items=singles)
 
 
 @dataclass
@@ -251,11 +252,12 @@ class ValidatedModel:
         return lam, self._shape_vector, lam * self._shape_vector
 
     @cached_property
-    def _mg1_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a_p, p, p * a_p) for p = 1..n: H(t) = sum_p a_p * t**p."""
-        a = self.rates.size_totals
-        powers = np.arange(1, self.n + 1, dtype=float)
-        return a, powers, a * powers
+    def _mg1_terms(self) -> tuple[np.ndarray, ...]:
+        """(a_p, p, p * a_p, p - 1) over a_p > 0: H(t) = sum_p a_p * t**p."""
+        rated = self.rates.size_totals > 0.0
+        a = self.rates.size_totals[rated]
+        powers = np.arange(1, self.n + 1, dtype=float)[rated]
+        return a, powers, a * powers, powers - 1.0
 
     @cached_property
     def _lubi_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,7 +360,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
             "rates: total rate exceeds the float range"
         ) from None
     interacting = (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
-    if family not in interacting and rates.interaction_members:
+    if family not in interacting and rates.has_interactions:
         raise ValidationError(
             f"rates: family {family.value} admits only singleton subsets"
         )
@@ -459,36 +461,48 @@ def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc, fill: float)
     return h
 
 
-def _joint_hazard(model: ValidatedModel, x: np.ndarray):
+def _on(members, v: np.ndarray, out) -> np.ndarray:
+    """v, or the (k, n) batch of v at the members and 0 elsewhere, in `out`
+    if given; by selection where v holds inf, as 0 * inf is nan."""
+    if members is None:
+        return v
+    if not np.isfinite(v).all():
+        return np.where(members, v, 0.0)
+    return np.multiply(members, v, out=out)
+
+
+def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None,
+                  out=None):
     """Joint cumulative hazard -ln F_bar(x_1,...,x_n).
 
     `x` is one point of shape (n,), giving a float, or a batch of shape
-    (k, n), giving a (k,) array with one hazard per row.
+    (k, n), giving a (k,) array with one hazard per row.  With `members`,
+    a boolean (k, n) array, `x` is one point t * 1 and the batch is t * 1_S
+    for the members S of each row: each component's power is then taken
+    once, not once per row.  The batch is written into `out` if given.
     """
     fam = model.family
     rates = model.rates
     if fam is Family.INDEP_EXP:
-        return _dot(rates.singleton_vector, x)
+        return _dot(rates.singleton_vector, _on(members, x, out))
     if fam is Family.MOME:
-        return _shock_sum(rates, x, np.maximum, -np.inf)
+        return _shock_sum(rates, _on(members, x, out), np.maximum, -np.inf)
     if fam is Family.MG1:
-        return _shock_sum(rates, x, np.multiply, 1.0)
-    if fam is Family.INDEP_WEIBULL:
-        return _dot(rates.singleton_vector, x ** model._shape_vector)
-    if fam is Family.MOMW:
-        return _shock_sum(rates, x ** model._shape_vector, np.maximum, -np.inf)
-    if fam in (Family.CROWDER, Family.LEE_II):
-        s = _dot(rates.singleton_vector, x ** model._shape_vector)
-        return power_gap(model.gamma, s, model.stable_exponent)
+        return _shock_sum(rates, _on(members, x, out), np.multiply, 1.0)
     if fam is Family.LEE_ML:
-        powered = model._scale_powers * x**model.alpha
+        powered = _on(members, model._scale_powers * x**model.alpha, out)
         return _shock_sum(rates, powered, np.maximum, -np.inf)
-    if fam is Family.LU_BI:
-        lam, al, _ = model._weibull_terms
-        root, root_exps, _ = model._lubi_terms
-        u = _dot(root, x**root_exps)
-        return _dot(lam, x**al) + model.delta * u**model.m
-    raise AssertionError(f"unhandled family {fam}")
+    powered = _on(members, x ** model._shape_vector, out)  # Weibull families
+    if fam is Family.MOMW:
+        return _shock_sum(rates, powered, np.maximum, -np.inf)
+    s = _dot(rates.singleton_vector, powered)
+    if fam in (Family.CROWDER, Family.LEE_II):
+        return power_gap(model.gamma, s, model.stable_exponent)
+    if fam is Family.INDEP_WEIBULL or model.delta == 0.0:
+        return s  # LuBI's delta * u**m would be 0 * inf at a huge x
+    root, root_exps, _ = model._lubi_terms
+    u = _dot(root, _on(members, x**root_exps, out))
+    return s + model.delta * u**model.m
 
 
 def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
@@ -572,9 +586,8 @@ def series_hazard(model: ValidatedModel, t):
         lam = model.rates.total
         return lam * t, _fill(t, lam)
     if fam is Family.MG1:
-        a, powers, slopes = model._mg1_terms
-        tp = tc**powers
-        return _dot(a, tp), _dot(slopes, tp / tc)
+        a, powers, slopes, lower = model._mg1_terms
+        return _dot(a, tc**powers), _dot(slopes, tc**lower)
     if fam is Family.MOMW:
         r, e = _momw_exponents(model, tc)
         tp = tc**e

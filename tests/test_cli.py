@@ -19,6 +19,7 @@ from deperr.cli import (
     RunConfig,
     _GRID_KEYS,
     _RUN_KEYS,
+    build_config,
     emit_config,
     main,
     model_from_dict,
@@ -352,6 +353,38 @@ class TestGolden:
         path = write_config(tmp_path, f"{name}.json", data)
         assert main([data["command"], "--model", str(path)]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+    def test_parallel_rerun_matches_golden(self, tmp_path):
+        # the second run's model is a new object equal to the first's, and
+        # the counterpart cache returns the first: rel_err stays exactly 0
+        data = json.loads((DATA / "parallel_indep.json").read_text())
+        golden = (GOLDEN / "parallel_indep.csv").read_bytes()
+        for run in range(2):
+            data["output"] = str(tmp_path / f"run{run}.csv")
+            path = write_config(tmp_path, "parallel.json", data)
+            assert main(["parallel", "--model", str(path)]) == EXIT_OK
+            assert (tmp_path / f"run{run}.csv").read_bytes() == golden
+
+
+class TestArgumentParser:
+    """One parser serves every call in a process."""
+
+    def test_calls_do_not_share_flags(self, tmp_path):
+        data = base_config(tmp_path, command="simulate", samples=10, seed=3)
+        path = write_config(tmp_path, "run.json", data)
+        argv = ["simulate", "--model", str(path)]
+        assert build_config(argv + ["--samples", "7"]).samples == 7
+        config = build_config(argv)
+        assert (config.samples, config.seed) == (10, 3)
+
+    def test_bad_metric_flag_exits_2_through_argparse(self, tmp_path, capsys):
+        path = write_config(tmp_path, "run.json",
+                            base_config(tmp_path, command="errors"))
+        with pytest.raises(SystemExit) as exc:
+            main(["errors", "--model", str(path), "--metric", "mttf"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mttf'" in capsys.readouterr().err
+        assert build_config(["errors", "--model", str(path)]).metric is None
 
 
 # ---------------------------------------------------------------------------

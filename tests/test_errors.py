@@ -1,6 +1,7 @@
 """Relative errors, closed forms, monotone lemmas, and aging classes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestClosedForms:
         for metric in METRICS:
             assert closed_form_error(m, metric, t) == 0.0
             assert closed_form_error(m, metric, np.array([t])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("MG1", 2, {(1,): 1.0, (2,): 1.0}),
+        ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 1.0}, shapes=(1.5, 2.0)),
+    ])
+    def test_product_model_at_infinity(self, spec):
+        # were nan: a_2 = 0 times inf**2 (MG1), inf - inf (MOMW closed SF)
+        m = validate_model(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert series_metric(m, "sf", math.inf) == 0.0
+            for t in (math.inf, np.array([math.inf])):
+                for metric in METRICS:
+                    assert closed_form_error(m, metric, t) == 0.0
 
     @pytest.mark.parametrize(
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]

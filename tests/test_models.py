@@ -1,6 +1,7 @@
 """Model validation, joint survival, and series metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,3 +419,13 @@ class TestArrayKernel:
             series_hazard(m, np.array([1.0, 0.0, -1.0]))
         with pytest.raises(DomainError):
             series_hazard(m, np.ones((2, 2)))
+
+
+def test_mg1_product_at_infinity():
+    # a_2 = 0 times inf**2 was nan; H' is sum_p p * a_p * t**(p - 1)
+    m = validate_model(ModelSpec("MG1", 2, {(1,): 1.0, (2,): 2.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (math.inf, np.array([math.inf])):
+            assert series_metric(m, "sf", t) == 0.0
+            assert series_metric(m, "fr", t) == 3.0

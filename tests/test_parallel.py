@@ -10,6 +10,7 @@ from deperr import (
     DomainError,
     MetricKind,
     ModelSpec,
+    independent_counterpart,
     joint_sf,
     parallel_relative_error,
     parallel_sf_closed,
@@ -17,6 +18,8 @@ from deperr import (
     series_metric,
     validate_model,
 )
+from deperr.models import _joint_hazard
+from deperr.parallel import _ie_sum, _product_sf
 
 from conftest import ALL_FAMILIES, random_model
 
@@ -198,3 +201,87 @@ def test_mg1_infinite_t_is_zero():
     assert result.sf_ie == 0.0
     assert result.error_bound == 0.0
     assert result.sf_closed == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The independent side in O(n), and the masked kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_product_form_matches_ie_on_counterpart(family, rng):
+    # IE on the counterpart is the oracle, to within its own bound
+    for n in range(1, 13):
+        indep = independent_counterpart(
+            random_model(family, n, rng, require_interaction=n > 1))
+        for t in (0.05, 0.5, 2.0, 20.0):
+            ie, bound = _ie_sum(indep, t)
+            assert abs(_product_sf(indep, t) - ie) <= bound
+
+
+def test_product_form_zero_rate_component():
+    # the counterpart is IndepExp with lambda_2 = 0: X_2 never fails
+    m = validate_model(ModelSpec("MOME", 2, {(1,): 1.0, (1, 2): 1.0}))
+    indep = independent_counterpart(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _product_sf(indep, 0.7) == 1.0
+        dep = parallel_sf_ie(m, 0.7).sf_ie
+        assert parallel_relative_error(m, 0.7) == dep - 1.0
+
+
+def test_product_form_every_hazard_overflowing():
+    m = validate_model(ModelSpec("IndepWeibull", 2, {(1,): 1.0, (2,): 1.0},
+                                 shapes=(1.5, 2.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _product_sf(m, 1e200)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0  # not -0.0
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("IndepExp", 3, {(1,): 0.4, (2,): 0.7, (3,): 1.1}),
+    ModelSpec("LuBI", 2, {(1,): 1.0, (2,): 0.5}, shapes=(1.5, 2.0),
+              delta=0.0, m=1.5),
+])
+def test_own_counterpart_error_is_exactly_zero(spec):
+    # the counterpart cache hands the second, equal model the first object
+    first, second = validate_model(spec), validate_model(spec)
+    assert first == second and first is not second
+    for m in (first, second):
+        assert independent_counterpart(m) is first
+        assert parallel_relative_error(m, 0.9) == 0.0
+
+
+FAMILY_PARAMS = [(f, t) for f in ALL_FAMILIES for t in (0.3, 1.0, 4.0)] + [
+    (f, 1e200) for f in ("IndepWeibull", "MOMW", "Crowder", "LeeII",
+                         "LeeML", "LuBI")
+]
+
+
+@pytest.mark.parametrize("family,t", FAMILY_PARAMS)
+def test_masked_kernel_matches_explicit_batch(family, t, rng):
+    exact = family in ("IndepExp", "MOME", "MG1")
+    for n in range(1, 9):
+        m = random_model(family, n, rng, require_interaction=n > 1)
+        masks = np.arange(1, 1 << n)
+        members = (masks[:, None] & (1 << np.arange(n))) != 0
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")  # no nan: no invalid value
+            masked = _joint_hazard(m, np.full(n, t), members)
+            explicit = _joint_hazard(m, np.where(members, t, 0.0))
+            into = _joint_hazard(m, np.full(n, t), members,
+                                 np.full(members.shape, np.nan))
+        assert not np.isnan(masked).any()
+        assert into.tobytes() == masked.tobytes()
+        if exact:
+            assert masked.tobytes() == explicit.tobytes()
+        else:
+            np.testing.assert_allclose(masked, explicit, rtol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["IndepWeibull", "MOMW", "LuBI"])
+def test_ie_at_huge_t_is_quiet_zero(family, rng):
+    m = random_model(family, 4, rng, require_interaction=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parallel_sf_ie(m, 1e200).sf_ie == 0.0
