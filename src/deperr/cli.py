@@ -217,13 +217,18 @@ def emit_config(config: RunConfig) -> str:
     """Serialize a RunConfig to canonical JSON; parse_config round-trips it."""
     data = model_to_dict(config.model)
     data["command"] = config.command
-    data["grid"] = {key: getattr(config.grid, key)
-                    for key in ("start", "stop", "count", "spacing")}
+    data["grid"] = {
+        "start": config.grid.start,
+        "stop": config.grid.stop,
+        "count": config.grid.count,
+        "spacing": config.grid.spacing,
+    }
     if config.metric is not None:
         data["metric"] = config.metric.value
-    for key in ("samples", "seed"):
-        if getattr(config, key) is not None:
-            data[key] = getattr(config, key)
+    if config.samples is not None:
+        data["samples"] = config.samples
+    if config.seed is not None:
+        data["seed"] = config.seed
     data["structure"] = config.structure
     data["output"] = config.output
     return json.dumps(data, indent=2) + "\n"
@@ -239,11 +244,17 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return format(value, ".17g") if isinstance(value, float) else str(value)
+    if isinstance(value, (int,)):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
 def _csv(header: list[str], rows: list) -> str:
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

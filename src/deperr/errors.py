@@ -112,10 +112,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     t, tc = _times(t)
     fam = model.family
 
-    if fam in (Family.INDEP_EXP, Family.INDEP_WEIBULL) or (
-        fam in (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
-        and not model.rates.has_interactions
-    ):
+    if model._is_product:
         # A product model: no dependence, so the error is exactly 0, where
         # the forms below could meet 0 * inf.
         return _fill(t, 0.0)

@@ -161,11 +161,6 @@ class SubsetRates:
         return mat
 
     @cached_property
-    def has_interactions(self) -> bool:
-        """Whether a rated subset has two or more members."""
-        return any(mask & (mask - 1) for mask, _ in self.items)
-
-    @cached_property
     def interaction_members(self) -> tuple[tuple[np.ndarray, float], ...]:
         """(0-based member indices, rate) of each rated subset of size >= 2."""
         return tuple(
@@ -175,8 +170,12 @@ class SubsetRates:
         )
 
     def singletons_only(self) -> "SubsetRates":
-        singles = tuple(e for e in self.items if e[0].bit_count() == 1)
-        return SubsetRates(n=self.n, items=singles)
+        return SubsetRates(
+            n=self.n,
+            items=tuple(
+                (mask, rate) for mask, rate in self.items if mask.bit_count() == 1
+            ),
+        )
 
 
 @dataclass
@@ -221,6 +220,16 @@ class ValidatedModel:
     m: float | None = None
 
     # -- cached derived quantities -------------------------------------
+
+    @cached_property
+    def _is_product(self) -> bool:
+        """Whether the joint survival is the product of the marginals."""
+        if self.family is Family.LU_BI:
+            return self.delta == 0.0
+        return self.family in (Family.INDEP_EXP, Family.INDEP_WEIBULL) or (
+            self.family in (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
+            and not self.rates.interaction_members
+        )
 
     @cached_property
     def _shape_vector(self) -> np.ndarray:
@@ -360,7 +369,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
             "rates: total rate exceeds the float range"
         ) from None
     interacting = (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
-    if family not in interacting and rates.has_interactions:
+    if family not in interacting and rates.interaction_members:
         raise ValidationError(
             f"rates: family {family.value} admits only singleton subsets"
         )
@@ -461,38 +470,32 @@ def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc, fill: float)
     return h
 
 
-def _on(members, v: np.ndarray, out) -> np.ndarray:
-    """v, or the (k, n) batch of v at the members and 0 elsewhere, in `out`
-    if given; by selection where v holds inf, as 0 * inf is nan."""
-    if members is None:
-        return v
-    if not np.isfinite(v).all():
-        return np.where(members, v, 0.0)
-    return np.multiply(members, v, out=out)
+def _masked(members, v: np.ndarray) -> np.ndarray:
+    """v, or the (k, n) batch of v at the members and 0 elsewhere; by
+    selection, as a power may be inf and 0 * inf is nan."""
+    return v if members is None else np.where(members, v, 0.0)
 
 
-def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None,
-                  out=None):
+def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     """Joint cumulative hazard -ln F_bar(x_1,...,x_n).
 
     `x` is one point of shape (n,), giving a float, or a batch of shape
     (k, n), giving a (k,) array with one hazard per row.  With `members`,
     a boolean (k, n) array, `x` is one point t * 1 and the batch is t * 1_S
-    for the members S of each row: each component's power is then taken
-    once, not once per row.  The batch is written into `out` if given.
+    per row S: each component's power is taken once, not once per row.
     """
     fam = model.family
     rates = model.rates
     if fam is Family.INDEP_EXP:
-        return _dot(rates.singleton_vector, _on(members, x, out))
+        return _dot(rates.singleton_vector, _masked(members, x))
     if fam is Family.MOME:
-        return _shock_sum(rates, _on(members, x, out), np.maximum, -np.inf)
+        return _shock_sum(rates, _masked(members, x), np.maximum, -np.inf)
     if fam is Family.MG1:
-        return _shock_sum(rates, _on(members, x, out), np.multiply, 1.0)
+        return _shock_sum(rates, _masked(members, x), np.multiply, 1.0)
     if fam is Family.LEE_ML:
-        powered = _on(members, model._scale_powers * x**model.alpha, out)
+        powered = _masked(members, model._scale_powers * x**model.alpha)
         return _shock_sum(rates, powered, np.maximum, -np.inf)
-    powered = _on(members, x ** model._shape_vector, out)  # Weibull families
+    powered = _masked(members, x ** model._shape_vector)  # Weibull families
     if fam is Family.MOMW:
         return _shock_sum(rates, powered, np.maximum, -np.inf)
     s = _dot(rates.singleton_vector, powered)
@@ -500,9 +503,11 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None,
         return power_gap(model.gamma, s, model.stable_exponent)
     if fam is Family.INDEP_WEIBULL or model.delta == 0.0:
         return s  # LuBI's delta * u**m would be 0 * inf at a huge x
-    root, root_exps, _ = model._lubi_terms
-    u = _dot(root, _on(members, x**root_exps, out))
-    return s + model.delta * u**model.m
+    if fam is Family.LU_BI:
+        root, root_exps, _ = model._lubi_terms
+        u = _dot(root, _masked(members, x**root_exps))
+        return s + model.delta * u**model.m
+    raise AssertionError(f"unhandled family {fam}")
 
 
 def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
@@ -679,8 +684,8 @@ def independent_counterpart(model: ValidatedModel) -> ValidatedModel:
     Idempotent by construction.
     """
     fam = model.family
-    if fam in (Family.INDEP_EXP, Family.INDEP_WEIBULL):
-        return model
+    if model._is_product and fam not in (Family.MOME, Family.MG1, Family.MOMW):
+        return model  # no dependence, and the family needs no change
     singles = model.rates.singletons_only()
     if fam in (Family.MOME, Family.MG1):
         return ValidatedModel(family=Family.INDEP_EXP, n=model.n, rates=singles)
@@ -692,11 +697,7 @@ def independent_counterpart(model: ValidatedModel) -> ValidatedModel:
             shapes=model.shapes,
         )
     if fam is Family.LEE_ML:
-        if singles == model.rates:
-            return model
         return replace(model, rates=singles)
     if fam is Family.LU_BI:
-        if model.delta == 0.0:
-            return model
         return replace(model, delta=0.0)
     raise AssertionError(f"unhandled family {fam}")

@@ -89,15 +89,13 @@ def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
         # survival is 0; the kernel would meet 0 * inf (MG1 products).
         return 0.0, 0.0
     bits = 1 << np.arange(model.n, dtype=np.int64)
-    point = np.full(model.n, t)
-    batch = np.empty((min(_CHUNK, (1 << model.n) - 1), model.n))
     kappa = len(model.rates.items) + model.n + 2
     weighted: list[float] = []  # per chunk, sum of term_S * (3 + kappa * H_S)
 
     def chunk_terms() -> Iterator[list[float]]:
         for masks, signs in _mask_chunks(model.n):
             members = (masks[:, None] & bits) != 0  # the rows t * 1_S
-            hazard = _joint_hazard(model, point, members, batch[:len(masks)])
+            hazard = _joint_hazard(model, np.full(model.n, t), members)
             sf = np.minimum(np.exp(-hazard), 1.0)
             weight = 3.0 + kappa * np.where(sf > 0.0, hazard, 0.0)
             weighted.append(float(np.dot(sf, weight)))
@@ -115,12 +113,12 @@ def _product_sf(model: ValidatedModel, t: float) -> float:
     if t == math.inf:  # as `_ie_sum`
         return 0.0
     n = model.n
-    with np.errstate(over="ignore"):
+    # A power of a huge t is inf; a component with zero rate has log1p(-1).
+    with np.errstate(over="ignore", divide="ignore"):
         q = np.exp(-_joint_hazard(model, np.full(n, t), np.eye(n, dtype=bool)))
-    if (q == 1.0).any():  # a component that cannot fail by t (zero rate)
-        return 1.0
+        log_cdf = float(np.log1p(-q).sum())
     # 0.0 - x, not -x: where every q is 0 the sum is -0.0, and this is +0.0
-    return 0.0 - math.expm1(float(np.log1p(-q).sum()))
+    return 0.0 - math.expm1(log_cdf)
 
 
 def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
@@ -179,10 +177,9 @@ def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
 def _relative_to_independent(model: ValidatedModel, dep: float,
                              t: float) -> float:
     """(dep - ind) / ind, ind the independent counterpart's parallel
-    survival at t (refused if 0); exactly 0 for its own counterpart."""
+    survival at t (refused if 0); exactly 0 for a model with no dependence."""
     indep = independent_counterpart(model)
-    # ==, not is: the cache hands an equal model the first one's object
-    ind = dep if indep == model else _product_sf(indep, t)
+    ind = dep if model._is_product else _product_sf(indep, t)
     if ind == 0.0:
         raise ZeroDenominatorError(
             f"independent-counterpart parallel sf is 0 at t={t}"

@@ -112,6 +112,8 @@ class TestClosedForms:
         (ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5}, alpha=1e300,
                    scales=(1.0, 1.0)), 1.5),  # t**alpha is inf
         (ModelSpec("MOME", 2, {(1,): 0.5, (2,): 0.5}), math.inf),
+        (ModelSpec("LuBI", 2, {(1,): 1.0, (2,): 0.5}, shapes=(1.5, 2.0),
+                   delta=0.0, m=1.5), 2.0),
     ])
     def test_product_model_error_is_zero(self, spec, t):
         # no interaction subset: the model is its own independent product,
