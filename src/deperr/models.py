@@ -228,7 +228,7 @@ class ValidatedModel:
             return self.delta == 0.0
         return self.family in (Family.INDEP_EXP, Family.INDEP_WEIBULL) or (
             self.family in (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
-            and not self.rates.interaction_members
+            and all(mask.bit_count() == 1 for mask, _ in self.rates.items)
         )
 
     @cached_property
