@@ -116,6 +116,12 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         # A product model: no dependence, so the error is exactly 0, where
         # the forms below could meet 0 * inf.
         return _fill(t, 0.0)
+    if metric is MetricKind.SF and fam is not Family.LU_BI:
+        # The independent SF is 0 at t = inf, which relative_error refuses;
+        # the MG1 and MOMW forms would meet inf - inf there.
+        bad = _first_where(t, t == math.inf)
+        if bad is not None:
+            raise ZeroDenominatorError(f"independent-counterpart sf is 0 at t={bad}")
 
     if fam is Family.MOME:
         lam = model.rates.total

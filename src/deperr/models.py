@@ -141,6 +141,12 @@ class SubsetRates:
         return vec
 
     @cached_property
+    def singleton_support(self) -> np.ndarray | None:
+        """Indices of the components with a singleton rate; None for all."""
+        vec = self.singleton_vector
+        return None if vec.all() else np.flatnonzero(vec)
+
+    @cached_property
     def size_totals(self) -> np.ndarray:
         """a_p = sum of lambda_S over |S| = p, for p = 1..n (index p-1)."""
         vec = np.zeros(self.n)
@@ -452,6 +458,13 @@ def _dot(weights: np.ndarray, v: np.ndarray):
     return v @ weights
 
 
+def _singleton_dot(rates: SubsetRates, v: np.ndarray):
+    """sum_i lambda_i v_i over the components with a singleton rate: where
+    lambda_i = 0 a power v_i may be inf, and 0 * inf is nan."""
+    keep, w = rates.singleton_support, rates.singleton_vector
+    return _dot(w, v) if keep is None else _dot(w[keep], v[..., keep])
+
+
 def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc, fill: float):
     """sum over rated subsets T of lambda_T * reduce_{i in T} v_i.
 
@@ -464,7 +477,7 @@ def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc, fill: float)
         vals = reduce.reduce(np.where(rates.member_matrix, v, fill), axis=1)
         return float(np.dot(rates.rate_array, vals))
     cols = v.T
-    h = v @ rates.singleton_vector
+    h = _singleton_dot(rates, v)
     for members, rate in rates.interaction_members:
         h += rate * reduce.reduce(cols[members], axis=0)
     return h
@@ -498,7 +511,7 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     powered = _masked(members, x ** model._shape_vector)  # Weibull families
     if fam is Family.MOMW:
         return _shock_sum(rates, powered, np.maximum, -np.inf)
-    s = _dot(rates.singleton_vector, powered)
+    s = _singleton_dot(rates, powered)
     if fam in (Family.CROWDER, Family.LEE_II):
         return power_gap(model.gamma, s, model.stable_exponent)
     if fam is Family.INDEP_WEIBULL or model.delta == 0.0:

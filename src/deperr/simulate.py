@@ -12,8 +12,11 @@ rated subset, so estimates depend only on (seed, draw_count) and not on how
 the work is scheduled.  Lifetimes are drawn in blocks of `_BLOCK` rows with
 each subset's stream kept open from block to block; consecutive draws from
 one stream equal a single draw, so the rows do not depend on the block size
-while memory stays bounded at any draw count.  `estimate_system_sf` counts
-the survivors of every t on the same draws.
+while memory stays bounded at any draw count.  Each block is filled
+component-major, as an (n, rows) buffer, so every shock member's minimum,
+the power map and the series/parallel reduction run over contiguous memory;
+the blocks are handed out as their (rows, n) transposes.
+`estimate_system_sf` counts the survivors of every t on the same draws.
 """
 
 from __future__ import annotations
@@ -73,25 +76,26 @@ def _lifetime_blocks(model: ValidatedModel, draw_count: int, seed: int = 0):
     ]
     for start in range(0, draw_count, _BLOCK):
         rows = min(_BLOCK, draw_count - start)
-        x = np.full((rows, model.n), np.inf)
+        x = np.full((model.n, rows), np.inf)
         for members, lam, stream in shocks:
             clock = stream.standard_exponential(rows)
             clock /= lam
             for i in members:
-                np.minimum(x[:, i], clock, out=x[:, i])
+                np.minimum(x[i], clock, out=x[i])
         # X_i = Y_i**(1/alpha_i), or Y_i**(1/alpha) / c_i for the common shape
         if fam in (Family.INDEP_WEIBULL, Family.MOMW):
-            x **= 1.0 / np.asarray(model.shapes)
+            x **= 1.0 / np.asarray(model.shapes)[:, None]
         elif fam is Family.LEE_ML:
             x **= 1.0 / model.alpha
-            x /= model.scales
-        yield x
+            x /= np.asarray(model.scales)[:, None]
+        yield x.T
 
 
 def sample_model(
     model: ValidatedModel, draw_count: int, seed: int = 0
 ) -> np.ndarray:
-    """(draw_count, n) lifetimes of a samplable family, else CapabilityError."""
+    """(draw_count, n) lifetimes of a samplable family, column-major (each
+    component's draws contiguous), else CapabilityError."""
     return np.concatenate(list(_lifetime_blocks(model, draw_count, seed)))
 
 
@@ -108,7 +112,8 @@ def estimate_system_sf(
     t, _ = _times(t)
     survivors = 0
     for x in _lifetime_blocks(model, draw_count, seed):
-        life = np.sort(x.min(axis=1) if structure == "series" else x.max(axis=1))
+        life = x.min(axis=1) if structure == "series" else x.max(axis=1)
+        life.sort()
         survivors += life.size - np.searchsorted(life, t, side="right")
     value = survivors / draw_count
     stderr = np.sqrt(value * (1.0 - value) / draw_count)

@@ -137,6 +137,21 @@ class TestClosedForms:
                 for metric in METRICS:
                     assert closed_form_error(m, metric, t) == 0.0
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("MG1", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}),
+        ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5},
+                  shapes=(1.5, 2.0)),
+    ])
+    def test_sf_at_infinity_refused_like_generic(self, spec):
+        # the closed SF was nan: a_1 * t - theta (MG1), s - a (MOMW) are
+        # inf - inf; the independent SF is 0 there
+        m = validate_model(spec)
+        with pytest.raises(ZeroDenominatorError, match="t=inf"):
+            relative_error(m, MetricKind.SF, math.inf)
+        for t in (math.inf, np.array([2.0, math.inf])):
+            with pytest.raises(ZeroDenominatorError, match="t=inf"):
+                closed_form_error(m, MetricKind.SF, t)
+
     @pytest.mark.parametrize(
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]
     )

@@ -298,3 +298,23 @@ def test_ie_at_huge_t_is_quiet_zero(family, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert parallel_sf_ie(m, 1e200).sf_ie == 0.0
+
+
+@pytest.mark.parametrize("family,params", [
+    ("MOMW", {"shapes": (1.5, 2.0)}),
+    ("LeeML", {"alpha": 2.0, "scales": (1.0, 1.3)}),
+])
+def test_component_without_singleton_rate_at_huge_t(family, params):
+    # component 2 fails only by the shared shock, so its counterpart never
+    # fails; at 1e200 its power is inf, and the singleton term took 0 * inf
+    m = validate_model(ModelSpec(family, 2, {(1,): 1.0, (1, 2): 1.0},
+                                 **params))
+    indep = independent_counterpart(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = parallel_sf_ie(m, 1e200)
+        assert (result.sf_ie, result.error_bound) == (0.0, 0.0)
+        assert _product_sf(indep, 1e200) == 1.0
+        assert parallel_relative_error(m, 1e200) == -1.0
+        with np.errstate(over="ignore"):  # the one-point kernel's power
+            assert joint_sf(indep, [1e200, 1e200]) == 0.0

@@ -20,7 +20,8 @@ from deperr import (
     series_metric,
     validate_model,
 )
-from deperr.simulate import _BLOCK
+from deperr.models import Family, mask_members
+from deperr.simulate import _BLOCK, _subset_stream
 
 from conftest import random_model
 
@@ -29,6 +30,28 @@ N_DRAWS = 200_000
 
 def model_of(family, mapping, n, **params):
     return validate_model(ModelSpec(family, n, mapping, **params))
+
+
+def row_major_sample(model, draw_count, seed):
+    """Reference sampler in the row-major layout: (rows, n) blocks, a
+    strided column minimum per shock member, a row-broadcast power map."""
+    shocks = [(mask_members(mask), lam, _subset_stream(seed, j))
+              for j, (mask, lam) in enumerate(model.rates.items)]
+    blocks = []
+    for start in range(0, draw_count, _BLOCK):
+        rows = min(_BLOCK, draw_count - start)
+        x = np.full((rows, model.n), np.inf)
+        for members, lam, stream in shocks:
+            clock = stream.standard_exponential(rows) / lam
+            for i in members:
+                np.minimum(x[:, i], clock, out=x[:, i])
+        if model.family in (Family.INDEP_WEIBULL, Family.MOMW):
+            x **= 1.0 / np.asarray(model.shapes)
+        elif model.family is Family.LEE_ML:
+            x **= 1.0 / model.alpha
+            x /= model.scales
+        blocks.append(x)
+    return np.concatenate(blocks)
 
 
 class TestSamplers:
@@ -190,6 +213,29 @@ class TestEstimates:
         a = estimate_system_sf(m, "series", 0.9, 50_000, 15)
         b = estimate_system_sf(m, "series", 0.9, 50_000, 15)
         assert a == b
+
+
+class TestComponentMajorLayout:
+    DRAWS = (1, 1000, _BLOCK, 2 * _BLOCK + 17)
+
+    @pytest.mark.parametrize(
+        "family", ["IndepExp", "MOME", "IndepWeibull", "MOMW", "LeeML"]
+    )
+    def test_draws_equal_row_major_reference(self, family, rng):
+        m = random_model(family, 4, rng)
+        for k, draws in enumerate(self.DRAWS):
+            x = sample_model(m, draws, 30 + k)
+            ref = row_major_sample(m, draws, 30 + k)
+            assert x.shape == ref.shape == (draws, 4)
+            assert x.tobytes() == ref.tobytes()
+            for structure, life in (("series", ref.min(axis=1)),
+                                    ("parallel", ref.max(axis=1))):
+                ts = [0.2, float(life[-1]), 1.0, 3.0]  # one t ties a draw
+                est = estimate_system_sf(m, structure, np.array(ts), draws,
+                                         30 + k)
+                assert est.value.tolist() == [
+                    int((life > t).sum()) / draws for t in ts
+                ]
 
 
 class TestFiniteDifference:
