@@ -326,7 +326,7 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> None:
-    """Execute the command and write the CSV artifact (all-or-nothing)."""
+    """Execute the command, then write the CSV artifact (not atomically)."""
     text = _RUNNERS[config.command](config)
     Path(config.output).write_text(text, newline="")
 

@@ -35,8 +35,10 @@ from .models import (
     _dot,
     _fill,
     _first_where,
+    _hazard,
+    _metric_kind,
     _metric_values,
-    _momw_exponents,
+    _momw_powers,
     _times,
     independent_counterpart,
     series_hazard,
@@ -84,9 +86,9 @@ def relative_error(model: ValidatedModel, metric: MetricKind, t):
 
     t is a float, giving a float, or a 1-D array, giving an array.
     """
-    metric = MetricKind(metric)
+    metric = _metric_kind(metric)
     t, _ = _times(t)
-    indep = independent_counterpart(model)
+    indep = model._indep
     h_ind, dh_ind = series_hazard(indep, t)
     # Evaluating the reference metric both enforces the domain checks and
     # surfaces an exact zero denominator before the stable combinator runs.
@@ -107,21 +109,25 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     algebraic rewrite of the generic combinator, which the test suite
     asserts.  t is a float, giving a float, or a 1-D array, giving an
     array; powers and sums run over the whole array, and expm1 per point.
+    A float takes the float path of :func:`series_hazard`.
     """
-    metric = MetricKind(metric)
+    metric = _metric_kind(metric)
     t, tc = _times(t)
     fam = model.family
-
     if model._is_product:
         # A product model: no dependence, so the error is exactly 0, where
         # the forms below could meet 0 * inf.
         return _fill(t, 0.0)
-    if metric is MetricKind.SF and fam is not Family.LU_BI:
-        # The independent SF is 0 at t = inf, which relative_error refuses;
-        # the MG1 and MOMW forms would meet inf - inf there.
-        bad = _first_where(t, t == math.inf)
-        if bad is not None:
-            raise ZeroDenominatorError(f"independent-counterpart sf is 0 at t={bad}")
+    if fam is Family.LU_BI or (
+            fam is Family.MOMW and metric in (MetricKind.RHR, MetricKind.AI)):
+        return None  # no closed form; use the generic combinator
+    if _first_where(t, t == math.inf) is not None:
+        # The forms below meet inf - inf and inf/inf at t = inf, where the
+        # error is the generic one, on the limits of the hazards; an array
+        # takes the forms at its other points.
+        if tc is None:
+            return relative_error(model, metric, t)
+        return np.array([closed_form_error(model, metric, x) for x in t])
 
     if fam is Family.MOME:
         lam = model.rates.total
@@ -137,9 +143,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         return _fill(t, 0.0)  # AI is identically 1 on both sides
 
     if fam is Family.MG1:
-        a, powers, slopes, lower = model._mg1_terms
-        theta = _dot(a, tc**powers)
-        dtheta = _dot(slopes, tc**lower)
+        theta, dtheta = _hazard(model, t, tc)
         a1 = model.rates.size_totals[0]
         if a1 == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
@@ -152,16 +156,17 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         return t * dtheta / theta - 1.0  # AI; independent side is 1
 
     if fam is Family.MOMW:
-        if metric in (MetricKind.RHR, MetricKind.AI):
-            return None
-        r, e = _momw_exponents(model, tc)
-        tp = tc**e
-        a_val = _dot(r, tp)
-        da_val = _dot(r, e * tp / tc)
-        lam, al, slopes = model._weibull_terms
-        ta = tc**al
-        s = _dot(lam, ta)
-        ds = _dot(slopes, ta / tc)
+        if tc is None:
+            a_val, da_val = _hazard(model, t, tc)
+            s, ds = _hazard(model._indep, t, tc)
+        else:
+            r, e, tp = _momw_powers(model, tc)
+            a_val = _dot(r, tp)
+            da_val = _dot(r, e * tp / tc)
+            lam, al, slopes = model._weibull_terms
+            ta = tc**al
+            s = _dot(lam, ta)
+            ds = _dot(slopes, ta / tc)
         if metric is MetricKind.SF:
             return each(_sf_error, t, s - a_val)
         if _first_where(t, ds == 0.0) is not None:
@@ -169,8 +174,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         return (da_val - ds) / ds
 
     if fam in (Family.CROWDER, Family.LEE_II):
-        lam, al, _ = model._weibull_terms
-        s = _dot(lam, tc**al)
+        s, _ = _hazard(model._indep, t, tc)  # IndepWeibull
         g, ell = model.gamma, model.stable_exponent
         slope = ell * (g + s) ** (ell - 1.0)
         h = power_gap(g, s, ell)
@@ -184,7 +188,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
 
     if fam is Family.LEE_ML:
         lam_l = model._lee_total
-        s = independent_counterpart(model)._lee_total
+        s = model._indep._lee_total
         if s == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         ta = power(t, model.alpha)
@@ -195,8 +199,6 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         if metric is MetricKind.RHR:
             return (lam_l / s) * each(expm1_ratio, s * ta, lam_l * ta) - 1.0
         return _fill(t, 0.0)  # AI is the common shape on both sides
-
-    return None  # LuBI: no closed form; use the generic combinator
 
 
 def lemma_g(beta: float, gamma: float, x: float) -> float:

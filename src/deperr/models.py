@@ -51,6 +51,14 @@ class MetricKind(str, Enum):
     AI = "ai"
 
 
+_METRIC_OF = {kind.value: kind for kind in MetricKind}
+
+
+def _metric_kind(metric) -> MetricKind:
+    """MetricKind(metric), by a dict lookup for a string or a member."""
+    return isinstance(metric, str) and _METRIC_OF.get(metric) or MetricKind(metric)
+
+
 def mask_members(mask: int) -> tuple[int, ...]:
     """0-based component indices contained in a bitmask subset."""
     out = []
@@ -243,6 +251,11 @@ class ValidatedModel:
         return np.asarray(self.shapes, dtype=float)
 
     @cached_property
+    def _indep(self) -> "ValidatedModel":
+        """independent_counterpart(self), looked up once per instance."""
+        return independent_counterpart(self)
+
+    @cached_property
     def _power_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rate, exponent for t >= 1, exponent for t < 1) of each shock.
 
@@ -281,6 +294,30 @@ class ValidatedModel:
         root = self.rates.singleton_vector ** (1.0 / self.m)
         al = self._shape_vector
         return root, al / self.m, root * al
+
+    @cached_property
+    def _term_tables(self) -> tuple[tuple[tuple[float, float, float], ...], ...]:
+        """The power sums of the float-t path as `_table`s: H for MG1 and
+        LeeML, H for t < 1 and for t >= 1 for MOMW, and the singleton sum
+        for the other Weibull families, then LuBI's coupling sum."""
+        fam, items = self.family, self.rates.items
+        if fam is Family.MG1:
+            return (_table((rate, float(mask.bit_count())) for mask, rate in items),)
+        if fam is Family.LEE_ML:
+            return (_table([(self._lee_total, self.alpha)]),)
+        shapes = self.shapes
+        if fam is Family.MOMW:
+            shocks = [(rate, [shapes[i] for i in mask_members(mask)])
+                      for mask, rate in items]
+            return (_table((rate, min(s)) for rate, s in shocks),
+                    _table((rate, max(s)) for rate, s in shocks))
+        singles = [(rate, shapes[mask.bit_length() - 1])
+                   for mask, rate in items if mask.bit_count() == 1]
+        if fam is Family.LU_BI:  # each rate's root, before equal shapes merge
+            mm = self.m
+            return (_table(singles),
+                    _table((w ** (1.0 / mm), e / mm) for w, e in singles))
+        return (_table(singles),)
 
     @cached_property
     def _scale_powers(self) -> np.ndarray:
@@ -506,9 +543,9 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     if fam is Family.MG1:
         return _shock_sum(rates, _masked(members, x), np.multiply, 1.0)
     if fam is Family.LEE_ML:
-        powered = _masked(members, model._scale_powers * x**model.alpha)
+        powered = _masked(members, model._scale_powers * power(x, model.alpha))
         return _shock_sum(rates, powered, np.maximum, -np.inf)
-    powered = _masked(members, x ** model._shape_vector)  # Weibull families
+    powered = _masked(members, power(x, model._shape_vector))  # Weibull
     if fam is Family.MOMW:
         return _shock_sum(rates, powered, np.maximum, -np.inf)
     s = _singleton_dot(rates, powered)
@@ -518,7 +555,7 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
         return s  # LuBI's delta * u**m would be 0 * inf at a huge x
     if fam is Family.LU_BI:
         root, root_exps, _ = model._lubi_terms
-        u = _dot(root, _masked(members, x**root_exps))
+        u = _dot(root, _masked(members, power(x, root_exps)))
         return s + model.delta * u**model.m
     raise AssertionError(f"unhandled family {fam}")
 
@@ -547,9 +584,9 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
 def _times(t):
     """(t, tc) with every t > 0 checked.
 
-    A float stays a float and tc is t; a 1-D array gives tc as a (k, 1)
-    column, so that `tc ** shapes` is (n,) for one point and (k, n) for a
-    batch, and `_dot` reduces either to the hazard's shape.
+    A scalar gives t as a float and tc None; a 1-D array gives tc as a
+    (k, 1) column, so that `tc ** shapes` is (k, n) and `_dot` reduces it
+    to one value per time.
     """
     if isinstance(t, np.ndarray):
         if t.ndim == 0:
@@ -563,7 +600,7 @@ def _times(t):
         return t, t[:, None]
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
-    return t, t
+    return float(t), None
 
 
 def _first_where(t, cond):
@@ -578,16 +615,49 @@ def _fill(t, value: float):
     return np.full(t.shape, value) if isinstance(t, np.ndarray) else value
 
 
-def _momw_exponents(model: ValidatedModel, tc):
-    """(rate, exponent) of each shock's diagonal term lambda_S * t**e_S.
+def _table(pairs) -> tuple[tuple[float, float, float], ...]:
+    """Term table of the power sum of w * t**e over (w, e) pairs: one
+    (w, e - 1, w * e) of Python floats per distinct exponent, its weights
+    summed, and none of weight 0, as 0 * inf is nan."""
+    total: dict[float, float] = {}
+    for w, e in pairs:
+        total[e] = total.get(e, 0.0) + w
+    return tuple((w, e - 1.0, w * e) for e, w in total.items() if w > 0.0)
 
-    The exponent is the largest member shape for t >= 1 and the smallest
-    for t < 1, per point: (shocks,) for a float, (k, shocks) for a column.
-    """
+
+def _power_sums(terms, t: float) -> tuple[float, float]:
+    """(sum w * t**e, sum w * e * t**(e - 1)) over a term table at a float
+    t, from one t**(e - 1) per term, so that H' keeps its precision where
+    t**e is subnormal; Python's ** raises OverflowError where numpy's
+    gives inf."""
+    s = ds = 0.0
+    for w, e1, we in terms:
+        p = t**e1
+        s += w * p
+        ds += we * p
+    return s * t, ds
+
+
+def _per_t(ds, t, model: ValidatedModel, k: int):
+    """ds / t for an array ds = sum w * e * t**e over the model's k-th term
+    table; at t = inf, where that is inf/inf, the limit of the sum of
+    w * e * t**(e - 1): inf for e > 1, w for e = 1, 0 for e < 1."""
+    with np.errstate(invalid="ignore"):
+        out = ds / t
+    at_inf = t == math.inf
+    if at_inf.any():
+        out[at_inf] = sum(math.inf if e1 > 0.0 else we * (e1 == 0.0)
+                          for _, e1, we in model._term_tables[k])
+    return out
+
+
+def _momw_powers(model: ValidatedModel, tc):
+    """(rate, exponent, tc**exponent) of each shock's diagonal term
+    lambda_S * t**e_S at a (k, 1) column: e_S is the largest member shape
+    for t >= 1 and the smallest for t < 1, per point."""
     r, hi, lo = model._power_terms
-    if isinstance(tc, np.ndarray):
-        return r, np.where(tc >= 1.0, hi, lo)
-    return r, hi if tc >= 1.0 else lo
+    e = np.where(tc >= 1.0, hi, lo)
+    return r, e, tc**e
 
 
 def series_hazard(model: ValidatedModel, t):
@@ -597,42 +667,75 @@ def series_hazard(model: ValidatedModel, t):
     float t gives two floats; a 1-D array of times gives two arrays.  H is
     -ln joint_sf(t, ..., t).  The MOMW derivative jumps at t = 1, where the
     exponents switch; H' there is the right derivative.
+
+    A float 0 < t < inf is evaluated on Python floats from the model's
+    term tables.  t = inf, and a float where that overflows, take the
+    array path as a one-point array, with its values, errors and warnings.
     """
-    t, tc = _times(t)
+    return _hazard(model, *_times(t))
+
+
+def _hazard(model: ValidatedModel, t, tc):
+    """series_hazard at a t checked by `_times`.  A float falls back to the
+    array path where its own overflows: there Python's ** raises
+    OverflowError and a product is inf with no warning, where numpy gives
+    inf with one."""
+    if tc is not None:
+        return _kernel(model, t, tc)
+    if t < math.inf:
+        try:
+            h, dh = _kernel(model, t, None)
+            if h + dh < math.inf:  # neither inf nor nan: nothing overflowed
+                return h, dh
+        except OverflowError:
+            pass
+    t = np.array([t])
+    h, dh = _kernel(model, t, t[:, None])
+    return float(h[0]), float(dh[0])
+
+
+def _kernel(model: ValidatedModel, t, tc):
+    """(H, H') at a float t with tc None, or at a 1-D array t."""
     fam = model.family
     if fam in (Family.INDEP_EXP, Family.MOME):
         lam = model.rates.total
         return lam * t, _fill(t, lam)
-    if fam is Family.MG1:
+    if tc is None:  # the MOMW tables for t < 1 and t >= 1 come first
+        tables = model._term_tables
+        s, ds = _power_sums(tables[fam is Family.MOMW and t >= 1.0], t)
+    elif fam is Family.MG1:
         a, powers, slopes, lower = model._mg1_terms
         return _dot(a, tc**powers), _dot(slopes, tc**lower)
-    if fam is Family.MOMW:
-        r, e = _momw_exponents(model, tc)
-        tp = tc**e
-        return _dot(r, tp), _dot(r, e * tp) / t
-    if fam is Family.LEE_ML:
+    elif fam is Family.MOMW:
+        r, e, tp = _momw_powers(model, tc)
+        return _dot(r, tp), _per_t(_dot(r, e * tp), t, model, 1)
+    elif fam is Family.LEE_ML:
         lam_l = model._lee_total
         ta = power(t, model.alpha)
-        return lam_l * ta, model.alpha * lam_l * ta / t
-    lam, al, slopes = model._weibull_terms
-    tp = tc**al
-    s = _dot(lam, tp)
-    ds = _dot(slopes, tp) / t
+        return lam_l * ta, _per_t(model.alpha * lam_l * ta, t, model, 0)
+    else:
+        lam, al, slopes = model._weibull_terms
+        tp = tc**al
+        s = _dot(lam, tp)
+        ds = _per_t(_dot(slopes, tp), t, model, 0)
     if fam in (Family.CROWDER, Family.LEE_II):
         g, ell = model.gamma, model.stable_exponent
         return power_gap(g, s, ell), ell * (g + s) ** (ell - 1.0) * ds
     if fam is Family.LU_BI and model.delta > 0.0:
-        root, root_exps, root_slopes = model._lubi_terms
+        if tc is None:
+            u, du = _power_sums(tables[1], t)
+        else:
+            root, root_exps, root_slopes = model._lubi_terms
+            up = tc**root_exps
+            u = _dot(root, up)
+            du = _dot(root_slopes, up) / t / model.m
         mm = model.m
-        up = tc**root_exps
-        u = _dot(root, up)
-        du = _dot(root_slopes, up) / t / mm
         return (
             s + model.delta * u**mm,
             ds + model.delta * mm * u ** (mm - 1.0) * du,
         )
-    # IndepWeibull, or LuBI with delta = 0: its delta * u**m would be 0 * inf
-    # at t = inf
+    # IndepWeibull, LuBI with delta = 0 (its delta * u**m would be 0 * inf
+    # at t = inf), and MG1, MOMW and LeeML on floats
     return s, ds
 
 
@@ -678,7 +781,7 @@ def series_metric(model: ValidatedModel, metric: MetricKind, t):
 
     t is a float, giving a float, or a 1-D array, giving an array.
     """
-    metric = MetricKind(metric)
+    metric = _metric_kind(metric)
     return _metric_values(metric, t, *series_hazard(model, t))
 
 

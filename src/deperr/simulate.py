@@ -32,9 +32,11 @@ from .models import (
     Family,
     MetricKind,
     ValidatedModel,
+    _metric_kind,
+    _sf_value,
     _times,
     mask_members,
-    series_metric,
+    series_hazard,
 )
 
 # Rows per lifetime block: 65 536 x 24 components x 8 B is 12.6 MB.
@@ -130,7 +132,7 @@ def estimate_system_sf(
 def _log_sf(model: ValidatedModel, t: float) -> float:
     # A subnormal SF (H > 708) has lost relative precision, so its log is
     # too coarse to difference; treat it like an underflow to 0.
-    sf = series_metric(model, MetricKind.SF, t)
+    sf = _sf_value(series_hazard(model, t)[0])  # as series_metric gives it
     if sf < sys.float_info.min or sf >= 1.0:
         raise SingularityError(
             f"series survival saturates at t={t}; shrink the stencil or move t"
@@ -147,7 +149,7 @@ def finite_diff_metric(
     used.  The stencil is h = min(max(1e-4 * t, 1e-8), t / 2), halved once
     for Richardson extrapolation.
     """
-    metric = MetricKind(metric)
+    metric = _metric_kind(metric)
     if metric is MetricKind.SF:
         raise DomainError("finite differences target FR, RHR, or AI, not SF")
     if not t > 0:
@@ -174,7 +176,7 @@ def finite_diff_metric(
     if metric is MetricKind.AI:
         return t * fr / _log_sf(model, t)
     # RHR = f(t) / F(t) with the density from differencing the CDF.
-    sf_at = lambda u: series_metric(model, MetricKind.SF, u)
+    sf_at = lambda u: _sf_value(series_hazard(model, u)[0])
     density = -derivative(sf_at)
     cdf = 1.0 - sf_at(t)
     if cdf <= 0.0:

@@ -146,11 +146,33 @@ class TestClosedForms:
         # the closed SF was nan: a_1 * t - theta (MG1), s - a (MOMW) are
         # inf - inf; the independent SF is 0 there
         m = validate_model(spec)
-        with pytest.raises(ZeroDenominatorError, match="t=inf"):
-            relative_error(m, MetricKind.SF, math.inf)
         for t in (math.inf, np.array([2.0, math.inf])):
             with pytest.raises(ZeroDenominatorError, match="t=inf"):
+                relative_error(m, MetricKind.SF, t)
+            with pytest.raises(ZeroDenominatorError, match="t=inf"):
                 closed_form_error(m, MetricKind.SF, t)
+
+    @pytest.mark.parametrize(
+        "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]
+    )
+    def test_closed_at_infinity_like_generic(self, family, rng):
+        # the forms meet inf - inf and inf/inf there: MG1's AI was nan where
+        # relative_error raises SingularityError
+        def outcome(fn, m, metric):
+            try:
+                return fn(m, metric, math.inf)
+            except Exception as exc:  # compared by class
+                return type(exc)
+
+        for n in range(2, 7):
+            m = random_model(family, n, rng)
+            for metric in METRICS:
+                closed = outcome(closed_form_error, m, metric)
+                if closed is None:
+                    continue
+                generic = outcome(relative_error, m, metric)
+                assert closed == generic or (
+                    closed != closed and generic != generic), (n, metric)
 
     @pytest.mark.parametrize(
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]

@@ -429,3 +429,32 @@ def test_mg1_product_at_infinity():
         for t in (math.inf, np.array([math.inf])):
             assert series_metric(m, "sf", t) == 0.0
             assert series_metric(m, "fr", t) == 3.0
+
+
+@pytest.mark.parametrize("spec,limit", [
+    (ModelSpec("IndepWeibull", 2, {(1,): 1.0, (2,): 0.5}, shapes=(1.5, 0.5)),
+     math.inf),
+    (ModelSpec("IndepWeibull", 2, {(1,): 1.0, (2,): 0.5}, shapes=(1.0, 0.5)),
+     1.0),
+    (ModelSpec("IndepWeibull", 2, {(1,): 1.0, (2,): 0.5}, shapes=(0.8, 0.5)),
+     0.0),
+    (ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 0.5, (1, 2): 0.5},
+               shapes=(1.0, 0.5)), 1.5),
+    (ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 0.5, (1, 2): 0.5},
+               shapes=(2.0, 0.5)), math.inf),
+    (ModelSpec("LeeML", 2, {(1,): 1.0, (2,): 0.5, (1, 2): 0.5}, alpha=1.0,
+               scales=(1.0, 2.0)), 3.0),
+    (ModelSpec("LeeML", 2, {(1,): 1.0, (2,): 0.5, (1, 2): 0.5}, alpha=0.5,
+               scales=(1.0, 2.0)), 0.0),
+])
+def test_fr_limit_at_infinity(spec, limit):
+    # H' = sum w * e * t**e / t was inf/inf at t = inf: nan for a float t,
+    # a RuntimeWarning for an array; the limit is inf, or the weights of
+    # exponent 1, or 0
+    m = validate_model(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert series_metric(m, "fr", math.inf) == limit
+        fr = series_metric(m, "fr", np.array([2.0, math.inf]))
+        assert fr[1] == limit
+        assert fr[0] == pytest.approx(series_metric(m, "fr", 2.0), rel=1e-14)

@@ -316,5 +316,4 @@ def test_component_without_singleton_rate_at_huge_t(family, params):
         assert (result.sf_ie, result.error_bound) == (0.0, 0.0)
         assert _product_sf(indep, 1e200) == 1.0
         assert parallel_relative_error(m, 1e200) == -1.0
-        with np.errstate(over="ignore"):  # the one-point kernel's power
-            assert joint_sf(indep, [1e200, 1e200]) == 0.0
+        assert joint_sf(indep, [1e200, 1e200]) == 0.0
