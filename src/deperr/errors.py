@@ -26,19 +26,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, ZeroDenominatorError
+from .exceptions import DomainError, SingularityError, ZeroDenominatorError
 from .grids import GridLike, grid_points
 from .models import (
     Family,
     MetricKind,
     ValidatedModel,
-    _dot,
     _fill,
     _first_where,
     _hazard,
     _metric_kind,
     _metric_values,
-    _momw_powers,
     _times,
     independent_counterpart,
     series_hazard,
@@ -84,7 +82,8 @@ _ERROR_FROM_HAZARDS = {
 def relative_error(model: ValidatedModel, metric: MetricKind, t):
     """Generic relative error of the named series metric at time t.
 
-    t is a float, giving a float, or a 1-D array, giving an array.
+    t is a float, giving a float, or a 1-D array, giving an array.  Where
+    the hazards give inf/inf (or 0 * inf), it raises SingularityError.
     """
     metric = _metric_kind(metric)
     t, _ = _times(t)
@@ -99,7 +98,11 @@ def relative_error(model: ValidatedModel, metric: MetricKind, t):
             f"independent-counterpart {metric.value} is 0 at t={bad}"
         )
     h_dep, dh_dep = series_hazard(model, t)
-    return each(_ERROR_FROM_HAZARDS[metric], t, h_dep, dh_dep, h_ind, dh_ind)
+    err = each(_ERROR_FROM_HAZARDS[metric], t, h_dep, dh_dep, h_ind, dh_ind)
+    bad = _first_where(t, err != err)
+    if bad is not None:
+        raise SingularityError(f"{metric.value} error meets inf/inf at t={bad}")
+    return err
 
 
 def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
@@ -109,7 +112,9 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     algebraic rewrite of the generic combinator, which the test suite
     asserts.  t is a float, giving a float, or a 1-D array, giving an
     array; powers and sums run over the whole array, and expm1 per point.
-    A float takes the float path of :func:`series_hazard`.
+    A float takes the float path of :func:`series_hazard`.  Where t, or
+    for MG1, MOMW and Crowder/LeeII the hazard the form reads, is inf, the
+    error is the generic one.
     """
     metric = _metric_kind(metric)
     t, tc = _times(t)
@@ -121,10 +126,15 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     if fam is Family.LU_BI or (
             fam is Family.MOMW and metric in (MetricKind.RHR, MetricKind.AI)):
         return None  # no closed form; use the generic combinator
-    if _first_where(t, t == math.inf) is not None:
-        # The forms below meet inf - inf and inf/inf at t = inf, where the
-        # error is the generic one, on the limits of the hazards; an array
-        # takes the forms at its other points.
+    # The forms meet inf - inf and inf/inf where t or the hazard they read
+    # (for MOMW H_d >= H_i) is inf: the error is generic there.
+    if fam in (Family.MG1, Family.MOMW):
+        h, dh = _hazard(model, t, tc)
+    elif fam in (Family.CROWDER, Family.LEE_II):
+        h, _ = _hazard(model._indep, t, tc)  # IndepWeibull
+    else:  # MOME and LeeML
+        h = t
+    if _first_where(t, h == math.inf) is not None:
         if tc is None:
             return relative_error(model, metric, t)
         return np.array([closed_form_error(model, metric, x) for x in t])
@@ -143,38 +153,27 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         return _fill(t, 0.0)  # AI is identically 1 on both sides
 
     if fam is Family.MG1:
-        theta, dtheta = _hazard(model, t, tc)
         a1 = model.rates.size_totals[0]
         if a1 == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.SF:
-            return each(_sf_error, t, a1 * t - theta)
+            return each(_sf_error, t, a1 * t - h)
         if metric is MetricKind.FR:
-            return (dtheta - a1) / a1
+            return (dh - a1) / a1
         if metric is MetricKind.RHR:
-            return (dtheta / a1) * each(expm1_ratio, a1 * t, theta) - 1.0
-        return t * dtheta / theta - 1.0  # AI; independent side is 1
+            return (dh / a1) * each(expm1_ratio, a1 * t, h) - 1.0
+        return t * dh / h - 1.0  # AI; independent side is 1
 
     if fam is Family.MOMW:
-        if tc is None:
-            a_val, da_val = _hazard(model, t, tc)
-            s, ds = _hazard(model._indep, t, tc)
-        else:
-            r, e, tp = _momw_powers(model, tc)
-            a_val = _dot(r, tp)
-            da_val = _dot(r, e * tp / tc)
-            lam, al, slopes = model._weibull_terms
-            ta = tc**al
-            s = _dot(lam, ta)
-            ds = _dot(slopes, ta / tc)
+        s, ds = _hazard(model._indep, t, tc)
         if metric is MetricKind.SF:
-            return each(_sf_error, t, s - a_val)
+            return each(_sf_error, t, s - h)
         if _first_where(t, ds == 0.0) is not None:
             raise ZeroDenominatorError("model has no singleton rates")
-        return (da_val - ds) / ds
+        return (dh - ds) / ds
 
     if fam in (Family.CROWDER, Family.LEE_II):
-        s, _ = _hazard(model._indep, t, tc)  # IndepWeibull
+        s = h  # the IndepWeibull hazard
         g, ell = model.gamma, model.stable_exponent
         slope = ell * (g + s) ** (ell - 1.0)
         h = power_gap(g, s, ell)
@@ -232,7 +231,7 @@ class ErrorPoint(NamedTuple):
     t: float
     dep: float
     indep: float
-    rel_err: float | None  # None: zero reference, or beyond the float range
+    rel_err: float | None  # None: zero reference, out of range, inf/inf
 
 
 @dataclass(frozen=True)
@@ -246,8 +245,8 @@ def error_curve(
 ) -> ErrorCurve:
     """Pointwise relative error with the raw dependent/independent values.
 
-    A point whose independent value is 0, or whose SF or RHR relative
-    error exceeds the float range, has rel_err None.
+    rel_err is None where the independent value is 0, where an SF or RHR
+    error exceeds the float range, and where the hazards give inf/inf.
     """
     metric = MetricKind(metric)
     pts = grid_points(grid, minimum=1)
@@ -265,7 +264,7 @@ def error_curve(
             rel = error(t, *hz) if ind_val != 0.0 else None
         except ZeroDenominatorError:
             rel = None
-        out.append(ErrorPoint(t, dep_val, ind_val, rel))
+        out.append(ErrorPoint(t, dep_val, ind_val, rel if rel == rel else None))
     return ErrorCurve(metric=metric, points=tuple(out))
 
 

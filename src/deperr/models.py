@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError, ValidationError
-from .numerics import clamp_unit, each, is_integer, power, power_gap
+from .numerics import clamp_unit, each, is_integer, power_gap
 
 MAX_COMPONENTS = 24
 
@@ -256,50 +256,11 @@ class ValidatedModel:
         return independent_counterpart(self)
 
     @cached_property
-    def _power_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rate, exponent for t >= 1, exponent for t < 1) of each shock.
-
-        Only meaningful for the Weibull Marshall-Olkin family: on the
-        diagonal a shock S contributes lambda_S * max_{i in S} t**alpha_i,
-        which is t to the largest member shape for t >= 1 and to the
-        smallest for t < 1.
-        """
-        shapes = self._shape_vector
-        members = [list(mask_members(mask)) for mask, _ in self.rates.items]
-        return (
-            self.rates.rate_array,
-            np.array([shapes[m].max() for m in members]),
-            np.array([shapes[m].min() for m in members]),
-        )
-
-    @cached_property
-    def _weibull_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lambda_i, alpha_i, lambda_i * alpha_i) of the singleton sum
-        s(t) = sum_i lambda_i * t**alpha_i."""
-        lam = self.rates.singleton_vector
-        return lam, self._shape_vector, lam * self._shape_vector
-
-    @cached_property
-    def _mg1_terms(self) -> tuple[np.ndarray, ...]:
-        """(a_p, p, p * a_p, p - 1) over a_p > 0: H(t) = sum_p a_p * t**p."""
-        rated = self.rates.size_totals > 0.0
-        a = self.rates.size_totals[rated]
-        powers = np.arange(1, self.n + 1, dtype=float)[rated]
-        return a, powers, a * powers, powers - 1.0
-
-    @cached_property
-    def _lubi_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lambda_i**(1/m), alpha_i/m, alpha_i * lambda_i**(1/m)) of the
-        coupling sum u(t) = sum_i lambda_i**(1/m) * t**(alpha_i/m)."""
-        root = self.rates.singleton_vector ** (1.0 / self.m)
-        al = self._shape_vector
-        return root, al / self.m, root * al
-
-    @cached_property
-    def _term_tables(self) -> tuple[tuple[tuple[float, float, float], ...], ...]:
-        """The power sums of the float-t path as `_table`s: H for MG1 and
-        LeeML, H for t < 1 and for t >= 1 for MOMW, and the singleton sum
-        for the other Weibull families, then LuBI's coupling sum."""
+    def _term_tables(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """The power sums of the series hazard as `_table`s, for a float t
+        and an array t alike: H for MG1 and LeeML, H for t < 1 and for
+        t >= 1 for MOMW, and the singleton sum for the other Weibull
+        families, then LuBI's coupling sum where delta > 0."""
         fam, items = self.family, self.rates.items
         if fam is Family.MG1:
             return (_table((rate, float(mask.bit_count())) for mask, rate in items),)
@@ -313,11 +274,17 @@ class ValidatedModel:
                     _table((rate, max(s)) for rate, s in shocks))
         singles = [(rate, shapes[mask.bit_length() - 1])
                    for mask, rate in items if mask.bit_count() == 1]
-        if fam is Family.LU_BI:  # each rate's root, before equal shapes merge
-            mm = self.m
+        if fam is Family.LU_BI and self.delta > 0.0:
+            mm = self.m  # each rate takes its root before equal shapes merge
             return (_table(singles),
                     _table((w ** (1.0 / mm), e / mm) for w, e in singles))
         return (_table(singles),)
+
+    @cached_property
+    def _term_arrays(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """`_term_tables` as columns (w, e, e - 1, w * e), for an array t."""
+        return tuple(tuple(np.array(col) for col in zip(*table))
+                     for table in self._term_tables)
 
     @cached_property
     def _scale_powers(self) -> np.ndarray:
@@ -533,6 +500,7 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     (k, n), giving a (k,) array with one hazard per row.  With `members`,
     a boolean (k, n) array, `x` is one point t * 1 and the batch is t * 1_S
     per row S: each component's power is taken once, not once per row.
+    Callers hold `np.errstate(over="ignore")`: a huge power is inf.
     """
     fam = model.family
     rates = model.rates
@@ -543,9 +511,9 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     if fam is Family.MG1:
         return _shock_sum(rates, _masked(members, x), np.multiply, 1.0)
     if fam is Family.LEE_ML:
-        powered = _masked(members, model._scale_powers * power(x, model.alpha))
+        powered = _masked(members, model._scale_powers * x**model.alpha)
         return _shock_sum(rates, powered, np.maximum, -np.inf)
-    powered = _masked(members, power(x, model._shape_vector))  # Weibull
+    powered = _masked(members, x**model._shape_vector)  # Weibull
     if fam is Family.MOMW:
         return _shock_sum(rates, powered, np.maximum, -np.inf)
     s = _singleton_dot(rates, powered)
@@ -554,9 +522,10 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     if fam is Family.INDEP_WEIBULL or model.delta == 0.0:
         return s  # LuBI's delta * u**m would be 0 * inf at a huge x
     if fam is Family.LU_BI:
-        root, root_exps, _ = model._lubi_terms
-        u = _dot(root, _masked(members, power(x, root_exps)))
-        return s + model.delta * u**model.m
+        mm = model.m
+        root = rates.singleton_vector ** (1.0 / mm)
+        u = _dot(root, _masked(members, x ** (model._shape_vector / mm)))
+        return s + model.delta * u**mm
     raise AssertionError(f"unhandled family {fam}")
 
 
@@ -573,7 +542,10 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
         # Every component has a positive total rate, so P(X_i > inf) = 0;
         # the kernel would meet 0 * inf (MG1 products, LuBI with delta 0).
         return 0.0
-    return clamp_unit(math.exp(-_joint_hazard(model, vec)))
+    if model.family in (Family.INDEP_EXP, Family.MOME, Family.MG1):
+        return clamp_unit(math.exp(-_joint_hazard(model, vec)))  # no power
+    with np.errstate(over="ignore"):  # a power of a huge x is inf: SF 0
+        return clamp_unit(math.exp(-_joint_hazard(model, vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +557,8 @@ def _times(t):
     """(t, tc) with every t > 0 checked.
 
     A scalar gives t as a float and tc None; a 1-D array gives tc as a
-    (k, 1) column, so that `tc ** shapes` is (k, n) and `_dot` reduces it
-    to one value per time.
+    (k, 1) column, so that `tc ** e` over a term table's exponents is one
+    row per time.
     """
     if isinstance(t, np.ndarray):
         if t.ndim == 0:
@@ -615,14 +587,14 @@ def _fill(t, value: float):
     return np.full(t.shape, value) if isinstance(t, np.ndarray) else value
 
 
-def _table(pairs) -> tuple[tuple[float, float, float], ...]:
+def _table(pairs) -> tuple[tuple[float, ...], ...]:
     """Term table of the power sum of w * t**e over (w, e) pairs: one
-    (w, e - 1, w * e) of Python floats per distinct exponent, its weights
-    summed, and none of weight 0, as 0 * inf is nan."""
+    (w, e, e - 1, w * e) of Python floats per distinct exponent, its
+    weights summed, and none of weight 0, as 0 * inf is nan."""
     total: dict[float, float] = {}
     for w, e in pairs:
         total[e] = total.get(e, 0.0) + w
-    return tuple((w, e - 1.0, w * e) for e, w in total.items() if w > 0.0)
+    return tuple((w, e, e - 1.0, w * e) for e, w in total.items() if w > 0.0)
 
 
 def _power_sums(terms, t: float) -> tuple[float, float]:
@@ -631,33 +603,41 @@ def _power_sums(terms, t: float) -> tuple[float, float]:
     t**e is subnormal; Python's ** raises OverflowError where numpy's
     gives inf."""
     s = ds = 0.0
-    for w, e1, we in terms:
+    for w, _, e1, we in terms:
         p = t**e1
         s += w * p
         ds += we * p
     return s * t, ds
 
 
-def _per_t(ds, t, model: ValidatedModel, k: int):
-    """ds / t for an array ds = sum w * e * t**e over the model's k-th term
-    table; at t = inf, where that is inf/inf, the limit of the sum of
-    w * e * t**(e - 1): inf for e > 1, w for e = 1, 0 for e < 1."""
-    with np.errstate(invalid="ignore"):
-        out = ds / t
-    at_inf = t == math.inf
-    if at_inf.any():
-        out[at_inf] = sum(math.inf if e1 > 0.0 else we * (e1 == 0.0)
-                          for _, e1, we in model._term_tables[k])
-    return out
+def _sums(model: ValidatedModel, tc) -> list:
+    """`_power_sums` of each term table over the (k, 1) column tc; a power
+    beyond the float range is inf, quietly, and t**(e - 1) at inf the limit."""
+    with np.errstate(over="ignore"):
+        return [(tc**e @ w, tc**e1 @ we) for w, e, e1, we in model._term_arrays]
 
 
-def _momw_powers(model: ValidatedModel, tc):
-    """(rate, exponent, tc**exponent) of each shock's diagonal term
-    lambda_S * t**e_S at a (k, 1) column: e_S is the largest member shape
-    for t >= 1 and the smallest for t < 1, per point."""
-    r, hi, lo = model._power_terms
-    e = np.where(tc >= 1.0, hi, lo)
-    return r, e, tc**e
+def _chain(t, base, ell: float, ds, table):
+    """(base**ell, ell * base**(ell - 1) * ds) for a base that grows as the
+    power sum of `table`, with derivative ds; on an array a value beyond the
+    float range is inf, quietly.  At t = inf the derivative is 0 * inf or
+    inf * 0: there it is the limit from the table's leading term (w, e),
+    ell * e * w**ell * t**(ell * e - 1), i.e. inf, ell * e * w**ell or 0 as
+    ell * e is >, = or < 1.  A finite t whose base is inf with ell < 1,
+    where base**ell may be finite, raises DomainError."""
+    if isinstance(t, float):  # an inf base makes H inf: `_hazard` retries
+        return base**ell, ell * base ** (ell - 1.0) * ds
+    bad = _first_where(t, (base == math.inf) & (t < math.inf))
+    if ell < 1.0 and bad is not None:
+        raise DomainError(f"a power sum under a root is inf at t={bad}")
+    with np.errstate(over="ignore"):
+        if not (t == math.inf).any():
+            return base**ell, ell * base ** (ell - 1.0) * ds
+        w, e = max(table, key=lambda term: term[1])[:2]
+        out = np.full(t.shape, ell * e * w**ell * math.inf ** (ell * e - 1.0))
+        fin = t < math.inf
+        out[fin] = ell * base[fin] ** (ell - 1.0) * ds[fin]
+        return base**ell, out
 
 
 def series_hazard(model: ValidatedModel, t):
@@ -668,9 +648,11 @@ def series_hazard(model: ValidatedModel, t):
     -ln joint_sf(t, ..., t).  The MOMW derivative jumps at t = 1, where the
     exponents switch; H' there is the right derivative.
 
-    A float 0 < t < inf is evaluated on Python floats from the model's
-    term tables.  t = inf, and a float where that overflows, take the
-    array path as a one-point array, with its values, errors and warnings.
+    Both paths sum the model's term tables: a float 0 < t < inf on Python
+    floats, an array in numpy.  t = inf, and a float where that overflows,
+    take the array path as a one-point array, with its values, errors and
+    warnings.  A power beyond the float range is inf; a root of such a
+    sum at a finite t (Crowder, LeeII, LuBI) raises DomainError.
     """
     return _hazard(model, *_times(t))
 
@@ -679,7 +661,7 @@ def _hazard(model: ValidatedModel, t, tc):
     """series_hazard at a t checked by `_times`.  A float falls back to the
     array path where its own overflows: there Python's ** raises
     OverflowError and a product is inf with no warning, where numpy gives
-    inf with one."""
+    inf (quietly for a power sum)."""
     if tc is not None:
         return _kernel(model, t, tc)
     if t < math.inf:
@@ -689,8 +671,7 @@ def _hazard(model: ValidatedModel, t, tc):
                 return h, dh
         except OverflowError:
             pass
-    t = np.array([t])
-    h, dh = _kernel(model, t, t[:, None])
+    h, dh = _hazard(model, np.array([t]), np.array([[t]]))
     return float(h[0]), float(dh[0])
 
 
@@ -700,43 +681,21 @@ def _kernel(model: ValidatedModel, t, tc):
     if fam in (Family.INDEP_EXP, Family.MOME):
         lam = model.rates.total
         return lam * t, _fill(t, lam)
-    if tc is None:  # the MOMW tables for t < 1 and t >= 1 come first
-        tables = model._term_tables
-        s, ds = _power_sums(tables[fam is Family.MOMW and t >= 1.0], t)
-    elif fam is Family.MG1:
-        a, powers, slopes, lower = model._mg1_terms
-        return _dot(a, tc**powers), _dot(slopes, tc**lower)
-    elif fam is Family.MOMW:
-        r, e, tp = _momw_powers(model, tc)
-        return _dot(r, tp), _per_t(_dot(r, e * tp), t, model, 1)
-    elif fam is Family.LEE_ML:
-        lam_l = model._lee_total
-        ta = power(t, model.alpha)
-        return lam_l * ta, _per_t(model.alpha * lam_l * ta, t, model, 0)
-    else:
-        lam, al, slopes = model._weibull_terms
-        tp = tc**al
-        s = _dot(lam, tp)
-        ds = _per_t(_dot(slopes, tp), t, model, 0)
+    tables = model._term_tables
+    if fam is Family.MOMW and tc is None:  # the table for t < 1 or t >= 1
+        return _power_sums(tables[t >= 1.0], t)
+    sums = None if tc is None else _sums(model, tc)
+    if fam is Family.MOMW:  # the tables for t < 1 and t >= 1, per point
+        return tuple(np.where(t >= 1.0, a, b) for b, a in zip(*sums))
+    s, ds = sums[0] if sums else _power_sums(tables[0], t)
     if fam in (Family.CROWDER, Family.LEE_II):
         g, ell = model.gamma, model.stable_exponent
-        return power_gap(g, s, ell), ell * (g + s) ** (ell - 1.0) * ds
-    if fam is Family.LU_BI and model.delta > 0.0:
-        if tc is None:
-            u, du = _power_sums(tables[1], t)
-        else:
-            root, root_exps, root_slopes = model._lubi_terms
-            up = tc**root_exps
-            u = _dot(root, up)
-            du = _dot(root_slopes, up) / t / model.m
-        mm = model.m
-        return (
-            s + model.delta * u**mm,
-            ds + model.delta * mm * u ** (mm - 1.0) * du,
-        )
-    # IndepWeibull, LuBI with delta = 0 (its delta * u**m would be 0 * inf
-    # at t = inf), and MG1, MOMW and LeeML on floats
-    return s, ds
+        return power_gap(g, s, ell), _chain(t, g + s, ell, ds, tables[0])[1]
+    if len(tables) == 2:  # LuBI with delta > 0
+        u, du = sums[1] if sums else _power_sums(tables[1], t)
+        um, dum = _chain(t, u, model.m, du, tables[1])
+        return s + model.delta * um, ds + model.delta * dum
+    return s, ds  # MG1, LeeML, IndepWeibull, and LuBI with delta = 0
 
 
 def _sf_value(h: float) -> float:

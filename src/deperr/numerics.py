@@ -1,9 +1,9 @@
 """Small numeric helpers used by the metric and error formulas.
 
-The kernels take a float t or a 1-D array of times.  An array's power
-sums run in numpy over the whole array, a float's on Python floats in
-another order: they agree to 1e-14 relative where no power is subnormal,
-not to the bit.  Transcendentals whose values reach the output (exp,
+The kernels take a float t or a 1-D array of times.  Both paths sum one
+term table per model, an array's in numpy over the whole array, a float's
+on Python floats in another order: they agree to 1e-14 relative where no
+power is subnormal, not to the bit.  Transcendentals whose values reach the output (exp,
 expm1, expm1_ratio) are applied per point with `math` through :func:`each`
 on either path; :func:`power_gap` alone takes numpy's expm1 and log1p on
 an array.

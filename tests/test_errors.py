@@ -1,5 +1,6 @@
 """Relative errors, closed forms, monotone lemmas, and aging classes."""
 
+import itertools
 import math
 import warnings
 
@@ -18,13 +19,18 @@ from deperr import (
     lemma_g,
     lemma_h,
     relative_error,
+    series_hazard,
     series_metric,
     validate_model,
 )
-from deperr.exceptions import ZeroDenominatorError
+from deperr.exceptions import (
+    DepErrError,
+    SingularityError,
+    ZeroDenominatorError,
+)
 from deperr.simulate import finite_diff_metric
 
-from conftest import random_model
+from conftest import ALL_FAMILIES, random_model
 
 METRICS = list(MetricKind)
 
@@ -76,6 +82,43 @@ class TestRelativeError:
             assert relative_error(m, MetricKind.FR, t) == pytest.approx(
                 fd / fd_i - 1.0, rel=1e-6, abs=1e-8
             )
+
+    def test_no_nan_at_huge_t(self, rng):
+        # at t = inf and where powers overflow: a value, its limit or a
+        # typed error, never nan nor a RuntimeWarning, and the same outcome
+        # for a float t and a one-point array (the values themselves are
+        # checked where known, in test_fr_limit_at_infinity and
+        # test_root_of_overflowed_sum_is_an_error)
+        models = [random_model(family, n, rng)
+                  for family in ALL_FAMILIES for n in range(1, 7)]
+        fns = (series_metric, relative_error, closed_form_error)
+        for m, x, metric, fn in itertools.product(
+                models, (1e100, 1e200, 1e300, math.inf), METRICS, fns):
+            outcomes = []
+            for t in (x, np.array([x])):
+                try:
+                    value = fn(m, metric, t)
+                except DepErrError as exc:
+                    outcomes.append(type(exc))
+                    continue
+                assert value is None or not np.isnan(value).any(), (
+                    m.family, m.n, t, fn, metric)
+                outcomes.append(value is None)
+            assert outcomes[0] == outcomes[1], (m.family, m.n, x, fn, metric)
+
+    def test_inf_over_inf_is_singular(self):
+        # both H' are inf at 1e300 (t**1.5 overflows) and at inf: the FR
+        # error is inf/inf there, which was a quiet nan
+        m = validate_model(ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 0.5,
+                                                 (1, 2): 0.5},
+                                     shapes=(2.5, 0.5)))
+        for t in (1e300, math.inf, np.array([2.0, 1e300])):
+            with pytest.raises(SingularityError, match="t=(1e\\+300|inf)"):
+                relative_error(m, MetricKind.FR, t)
+        points = error_curve(m, MetricKind.FR, [2.0, 1e300]).points
+        assert points[0].rel_err == pytest.approx(
+            relative_error(m, MetricKind.FR, 2.0), rel=1e-14)
+        assert points[1].rel_err is None
 
 
 class TestClosedForms:
@@ -156,23 +199,29 @@ class TestClosedForms:
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]
     )
     def test_closed_at_infinity_like_generic(self, family, rng):
-        # the forms meet inf - inf and inf/inf there: MG1's AI was nan where
-        # relative_error raises SingularityError
-        def outcome(fn, m, metric):
+        # the forms meet inf - inf and inf/inf where t, or the hazard they
+        # read, is inf: MG1's AI was nan where relative_error raises
+        # SingularityError
+        def outcome(fn, m, metric, t):
             try:
-                return fn(m, metric, math.inf)
+                return fn(m, metric, t)
             except Exception as exc:  # compared by class
                 return type(exc)
 
         for n in range(2, 7):
             m = random_model(family, n, rng)
-            for metric in METRICS:
-                closed = outcome(closed_form_error, m, metric)
-                if closed is None:
-                    continue
-                generic = outcome(relative_error, m, metric)
-                assert closed == generic or (
-                    closed != closed and generic != generic), (n, metric)
+            read = m._indep if family in ("Crowder", "LeeII") else m
+            ts = [math.inf] + [
+                t for t in (1e200, 1e300)
+                if family in ("MG1", "MOMW", "Crowder", "LeeII")
+                and series_hazard(read, t)[0] == math.inf]
+            for t in ts:
+                for metric in METRICS:
+                    closed = outcome(closed_form_error, m, metric, t)
+                    if closed is None:
+                        continue
+                    generic = outcome(relative_error, m, metric, t)
+                    assert closed == generic, (n, metric, t)
 
     @pytest.mark.parametrize(
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]

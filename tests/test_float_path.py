@@ -1,7 +1,7 @@
 """A float t and an array t reach the same values.
 
-A float 0 < t < inf is evaluated on Python floats from per-model term
-tables; an array t runs numpy over the whole array.  The two sum the same
+Both paths sum one term table per model: a float 0 < t < inf on Python
+floats, an array t in numpy over the whole array.  The two sum the same
 terms in different orders, so the hazards agree to 1e-14 relative, and
 every later value to 1e-14 relative times the condition number of the
 formula that forms it from the hazards: exp(-H) scales a hazard's relative

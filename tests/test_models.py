@@ -359,8 +359,12 @@ class TestArrayKernel:
                                      + 0.2 * 0.8 + 0.15 * 0.8, rel=1e-9)
         assert right == pytest.approx(0.3 * 0.8 + 0.4 * 1.4 + 0.3 * 2.0
                                       + 0.2 * 1.4 + 0.15 * 2.0, rel=1e-12)
-        terms = list(zip(*(a.tolist() for a in m._power_terms)))
-        assert (0.2, 1.4, 0.8) in terms and (0.15, 2.0, 0.8) in terms
+        # a shock's term takes its smallest member shape for t < 1 and its
+        # largest for t >= 1; the weights of equal exponents are summed
+        below, above = ({e: w for w, e, *_ in table}
+                        for table in m._term_tables)
+        assert below == pytest.approx({0.8: 0.65, 1.4: 0.4, 2.0: 0.3})
+        assert above == pytest.approx({0.8: 0.3, 1.4: 0.6, 2.0: 0.45})
 
     def test_momw_fd_stays_on_one_side_of_the_kink(self):
         rates = {(1,): 0.3, (2,): 0.4, (3,): 0.3, (1, 2): 0.2, (1, 2, 3): 0.15}
@@ -446,11 +450,20 @@ def test_mg1_product_at_infinity():
                scales=(1.0, 2.0)), 3.0),
     (ModelSpec("LeeML", 2, {(1,): 1.0, (2,): 0.5, (1, 2): 0.5}, alpha=0.5,
                scales=(1.0, 2.0)), 0.0),
+    (ModelSpec("Crowder", 2, {(1,): 1.0, (2,): 0.5}, shapes=(1.5, 0.5),
+               gamma=0.5, stable_exponent=0.5), 0.0),
+    (ModelSpec("LeeII", 2, {(1,): 1.0, (2,): 0.5}, shapes=(2.0, 0.5),
+               stable_exponent=0.5), 1.0),
+    (ModelSpec("LuBI", 2, {(1,): 1.0, (2,): 0.5}, shapes=(1.5, 0.5),
+               delta=0.5, m=0.8), math.inf),
+    (ModelSpec("LuBI", 2, {(1,): 1.0, (2,): 0.5}, shapes=(1.0, 0.5),
+               delta=0.5, m=2.0), 1.5),
 ])
 def test_fr_limit_at_infinity(spec, limit):
-    # H' = sum w * e * t**e / t was inf/inf at t = inf: nan for a float t,
-    # a RuntimeWarning for an array; the limit is inf, or the weights of
-    # exponent 1, or 0
+    # H' = sum w * e * t**e / t was inf/inf at t = inf, and Crowder, LeeII
+    # and LuBI met 0 * inf in the chain rule on top of it; the limit is
+    # inf, or the weights of exponent 1, or 0, and on top of a power sum
+    # with leading term w * t**e, l * e * w**l * t**(l * e - 1) decides
     m = validate_model(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -458,3 +471,24 @@ def test_fr_limit_at_infinity(spec, limit):
         fr = series_metric(m, "fr", np.array([2.0, math.inf]))
         assert fr[1] == limit
         assert fr[0] == pytest.approx(series_metric(m, "fr", 2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("spec,h,dh", [
+    (ModelSpec("LeeII", 1, {(1,): 1.0}, shapes=(2.0,), stable_exponent=0.5),
+     1e100, 1.0),
+    (ModelSpec("Crowder", 1, {(1,): 1.0}, shapes=(2.0,), gamma=0.5,
+               stable_exponent=0.5), 1e100, 1.0),
+    (ModelSpec("LuBI", 1, {(1,): 1.0}, shapes=(1.0,), delta=0.5, m=0.5),
+     1.5e100, 1.5),
+])
+def test_root_of_overflowed_sum_is_an_error(spec, h, dh):
+    # at 1e200 the sum under the root (t**2, or LuBI's u = t**(1 / m))
+    # exceeds the float range where H does not: a quiet inf gave LeeII
+    # (inf, 0.0), and so FR 0, where the truth is (1e200, 1.0)
+    m = validate_model(spec)
+    # power_gap exponentiates ell * log1p(s / g) = 230: 5e-14 relative
+    assert series_hazard(m, 1e100) == pytest.approx((h, dh), rel=1e-12)
+    for t in (1e200, np.array([2.0, 1e200])):
+        for fn in (series_hazard, lambda m, t: series_metric(m, "fr", t)):
+            with pytest.raises(DomainError, match=r"t=1e\+200"):
+                fn(m, t)
