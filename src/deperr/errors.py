@@ -41,7 +41,7 @@ from .models import (
     independent_counterpart,
     series_hazard,
 )
-from .numerics import each, expm1_ratio, power, power_gap
+from .numerics import each, expm1_ratio, power_gap
 
 #: relative tolerance for grid-based monotonicity/constancy verdicts
 MONOTONE_TOL = 1e-9
@@ -114,7 +114,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     array; powers and sums run over the whole array, and expm1 per point.
     A float takes the float path of :func:`series_hazard`.  Where t, or
     for MG1, MOMW and Crowder/LeeII the hazard the form reads, is inf, the
-    error is the generic one.
+    error is the generic one.  The SF forms need no singleton rate.
     """
     metric = _metric_kind(metric)
     t, tc = _times(t)
@@ -131,7 +131,8 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     if fam in (Family.MG1, Family.MOMW):
         h, dh = _hazard(model, t, tc)
     elif fam in (Family.CROWDER, Family.LEE_II):
-        h, _ = _hazard(model._indep, t, tc)  # IndepWeibull
+        s, _ = _hazard(model._indep, t, tc)  # IndepWeibull
+        h = power_gap(model.gamma, s, model.stable_exponent)  # H_d, or inf
     else:  # MOME and LeeML
         h = t
     if _first_where(t, h == math.inf) is not None:
@@ -142,10 +143,10 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     if fam is Family.MOME:
         lam = model.rates.total
         s = float(model.rates.singleton_vector.sum())
-        if s == 0.0:
-            raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.SF:
             return each(_sf_error, t, -t * (lam - s))
+        if s == 0.0:
+            raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
             return _fill(t, (lam - s) / s)
         if metric is MetricKind.RHR:
@@ -154,10 +155,10 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
 
     if fam is Family.MG1:
         a1 = model.rates.size_totals[0]
-        if a1 == 0.0:
-            raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.SF:
             return each(_sf_error, t, a1 * t - h)
+        if a1 == 0.0:
+            raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
             return (dh - a1) / a1
         if metric is MetricKind.RHR:
@@ -173,12 +174,10 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         return (dh - ds) / ds
 
     if fam in (Family.CROWDER, Family.LEE_II):
-        s = h  # the IndepWeibull hazard
-        g, ell = model.gamma, model.stable_exponent
-        slope = ell * (g + s) ** (ell - 1.0)
-        h = power_gap(g, s, ell)
         if metric is MetricKind.SF:
             return each(_sf_error, t, s - h)
+        g, ell = model.gamma, model.stable_exponent
+        slope = ell * (g + s) ** (ell - 1.0)
         if metric is MetricKind.FR:
             return slope - 1.0
         if metric is MetricKind.RHR:
@@ -188,11 +187,12 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     if fam is Family.LEE_ML:
         lam_l = model._lee_total
         s = model._indep._lee_total
-        if s == 0.0:
-            raise ZeroDenominatorError("model has no singleton rates")
-        ta = power(t, model.alpha)
+        with np.errstate(over="ignore"):  # t**alpha may be inf
+            ta = np.power(t, model.alpha)
         if metric is MetricKind.SF:
             return each(_sf_error, t, -ta * (lam_l - s))
+        if s == 0.0:
+            raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
             return _fill(t, lam_l / s - 1.0)
         if metric is MetricKind.RHR:

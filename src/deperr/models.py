@@ -167,12 +167,12 @@ class SubsetRates:
         return np.array([rate for _, rate in self.items], dtype=float)
 
     @cached_property
-    def member_matrix(self) -> np.ndarray:
-        """Boolean (n_subsets, n) membership matrix."""
-        mat = np.zeros((len(self.items), self.n), dtype=bool)
-        for row, (mask, _) in enumerate(self.items):
-            mat[row, list(mask_members(mask))] = True
-        return mat
+    def flat_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, starts): the 0-based members of each rated subset in the
+        order of `items`, concatenated, and the offset of each in `flat`."""
+        flat = [i for mask, _ in self.items for i in mask_members(mask)]
+        sizes = np.array([mask.bit_count() for mask, _ in self.items], np.intp)
+        return np.array(flat, np.intp), np.cumsum(sizes) - sizes
 
     @cached_property
     def interaction_members(self) -> tuple[tuple[np.ndarray, float], ...]:
@@ -283,8 +283,8 @@ class ValidatedModel:
     @cached_property
     def _term_arrays(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """`_term_tables` as columns (w, e, e - 1, w * e), for an array t."""
-        return tuple(tuple(np.array(col) for col in zip(*table))
-                     for table in self._term_tables)
+        return tuple(tuple(np.array([term[j] for term in table], float)
+                           for j in range(4)) for table in self._term_tables)
 
     @cached_property
     def _scale_powers(self) -> np.ndarray:
@@ -455,31 +455,24 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
 # ---------------------------------------------------------------------------
 
 
-def _dot(weights: np.ndarray, v: np.ndarray):
-    """sum_i w_i v_i: a float for one point, row-wise (k,) for a (k, n) batch."""
-    if v.ndim == 1:
-        return float(np.dot(weights, v))
-    return v @ weights
-
-
 def _singleton_dot(rates: SubsetRates, v: np.ndarray):
     """sum_i lambda_i v_i over the components with a singleton rate: where
     lambda_i = 0 a power v_i may be inf, and 0 * inf is nan."""
     keep, w = rates.singleton_support, rates.singleton_vector
-    return _dot(w, v) if keep is None else _dot(w[keep], v[..., keep])
+    return v @ w if keep is None else v[..., keep] @ w[keep]
 
 
-def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc, fill: float):
+def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc):
     """sum over rated subsets T of lambda_T * reduce_{i in T} v_i.
 
-    One point reduces the masked (subsets, n) matrix in one go.  A (k, n)
-    batch takes the singletons as one matrix-vector product and then adds
-    each larger subset from its members' columns: O(k * sum |T|) work and
-    no (k, subsets, n) temporary.
+    One point reduces each subset's segment of `flat_members` in one
+    `reduceat`.  A (k, n) batch takes the singletons as one matrix-vector
+    product and then adds each larger subset from its members' columns:
+    O(k * sum |T|) work and no (k, subsets, n) temporary.
     """
     if v.ndim == 1:
-        vals = reduce.reduce(np.where(rates.member_matrix, v, fill), axis=1)
-        return float(np.dot(rates.rate_array, vals))
+        flat, starts = rates.flat_members
+        return rates.rate_array @ reduce.reduceat(v[flat], starts)
     cols = v.T
     h = _singleton_dot(rates, v)
     for members, rate in rates.interaction_members:
@@ -496,26 +489,26 @@ def _masked(members, v: np.ndarray) -> np.ndarray:
 def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     """Joint cumulative hazard -ln F_bar(x_1,...,x_n).
 
-    `x` is one point of shape (n,), giving a float, or a batch of shape
-    (k, n), giving a (k,) array with one hazard per row.  With `members`,
-    a boolean (k, n) array, `x` is one point t * 1 and the batch is t * 1_S
-    per row S: each component's power is taken once, not once per row.
-    Callers hold `np.errstate(over="ignore")`: a huge power is inf.
+    `x` is one point of shape (n,), giving a numpy float, or a batch of
+    shape (k, n), giving a (k,) array.  With `members`, a boolean (k, n)
+    array, `x` is one point t * 1 and the batch is t * 1_S per row S: each
+    component's power is taken once, not once per row.  Callers hold
+    `np.errstate(over="ignore")`: a power, sum or product may be inf.
     """
     fam = model.family
     rates = model.rates
     if fam is Family.INDEP_EXP:
-        return _dot(rates.singleton_vector, _masked(members, x))
+        return _masked(members, x) @ rates.singleton_vector
     if fam is Family.MOME:
-        return _shock_sum(rates, _masked(members, x), np.maximum, -np.inf)
+        return _shock_sum(rates, _masked(members, x), np.maximum)
     if fam is Family.MG1:
-        return _shock_sum(rates, _masked(members, x), np.multiply, 1.0)
+        return _shock_sum(rates, _masked(members, x), np.multiply)
     if fam is Family.LEE_ML:
         powered = _masked(members, model._scale_powers * x**model.alpha)
-        return _shock_sum(rates, powered, np.maximum, -np.inf)
+        return _shock_sum(rates, powered, np.maximum)
     powered = _masked(members, x**model._shape_vector)  # Weibull
     if fam is Family.MOMW:
-        return _shock_sum(rates, powered, np.maximum, -np.inf)
+        return _shock_sum(rates, powered, np.maximum)
     s = _singleton_dot(rates, powered)
     if fam in (Family.CROWDER, Family.LEE_II):
         return power_gap(model.gamma, s, model.stable_exponent)
@@ -524,13 +517,17 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     if fam is Family.LU_BI:
         mm = model.m
         root = rates.singleton_vector ** (1.0 / mm)
-        u = _dot(root, _masked(members, x ** (model._shape_vector / mm)))
+        u = _masked(members, x ** (model._shape_vector / mm)) @ root
         return s + model.delta * u**mm
     raise AssertionError(f"unhandled family {fam}")
 
 
 def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
-    """Joint survival probability P(X_1 > x_1, ..., X_n > x_n)."""
+    """Joint survival probability P(X_1 > x_1, ..., X_n > x_n), a float.
+
+    Where the joint hazard leaves the float range it is 0.0, quietly, but
+    for an MG1 shock product of inf and 0 (nan, with a RuntimeWarning).
+    """
     vec = np.asarray(x, dtype=float)
     if vec.shape != (model.n,):
         raise DomainError(
@@ -542,9 +539,7 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
         # Every component has a positive total rate, so P(X_i > inf) = 0;
         # the kernel would meet 0 * inf (MG1 products, LuBI with delta 0).
         return 0.0
-    if model.family in (Family.INDEP_EXP, Family.MOME, Family.MG1):
-        return clamp_unit(math.exp(-_joint_hazard(model, vec)))  # no power
-    with np.errstate(over="ignore"):  # a power of a huge x is inf: SF 0
+    with np.errstate(over="ignore"):  # a huge power, sum or product: SF 0
         return clamp_unit(math.exp(-_joint_hazard(model, vec)))
 
 

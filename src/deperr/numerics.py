@@ -32,27 +32,27 @@ def each(fn, *args):
     return fn(*args)
 
 
-def power(t, a: float):
-    """t**a by numpy's loop, so a float t (giving a float) matches a batch.
-
-    A power beyond the float range is inf, silently: the callers take it.
-    """
-    with np.errstate(over="ignore"):
-        p = np.power(t, a)
-    return p if isinstance(t, np.ndarray) else float(p)
-
-
 def power_gap(g: float, s, ell: float):
-    """(g + s)**ell - g**ell for s >= 0, a float or an array.
-
-    Written g**ell * expm1(ell * log1p(s / g)) for g > 0, which does not
-    cancel when s << g.
-    """
-    if g == 0.0:
-        return s**ell
-    if isinstance(s, np.ndarray):
-        return g**ell * np.expm1(ell * np.log1p(s / g))
-    return g**ell * math.expm1(ell * math.log1p(s / g))
+    """(g + s)**ell - g**ell for s >= 0, a float or an array, quietly: for
+    g > 0, g**ell * expm1(ell * log1p(s / g)), which does not cancel when
+    s << g, and where that is not finite (g + s)**ell * -expm1(-ell *
+    log1p(s / g)), inf only where (g + s)**ell is (a float via an array)."""
+    if not isinstance(s, np.ndarray):
+        try:
+            h = s**ell if g == 0.0 else g**ell * math.expm1(ell * math.log1p(s / g))
+        except OverflowError:
+            h = math.inf
+        if h < math.inf:  # neither inf nor nan
+            return h
+        return float(power_gap(g, np.array([s], dtype=float), ell)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g == 0.0:
+            return s**ell
+        x = ell * np.log1p(s / g)
+        h = g**ell * np.expm1(x)
+        far = ~np.isfinite(h)  # s / g or expm1 overflowed, or g**ell underflowed
+        h[far] = (g + s[far]) ** ell * -np.expm1(-x[far])
+        return h
 
 
 def expm1_ratio(a: float, b: float) -> float:

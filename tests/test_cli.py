@@ -167,6 +167,20 @@ class TestExitCodes:
         assert "t=1.2" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_sf_errors_without_singleton_rates(self, tmp_path):
+        # the closed SF needs no singleton rate: was exit 3
+        data = base_config(tmp_path, command="errors", metric="sf",
+                           rates=[{"subset": [1, 2], "lambda": 1.0}])
+        path = write_config(tmp_path, "nos.json", data)
+        assert main(["errors", "--model", str(path)]) == EXIT_OK
+        rows = (tmp_path / "out.csv").read_text().splitlines()
+        assert rows[0].endswith("rel_err,closed_form_err")
+        assert rows[1].startswith("0.5,sf,")
+        for row in rows[1:]:
+            rel_err, closed = row.split(",")[-2:]
+            assert float(closed) == pytest.approx(float(rel_err), rel=1e-14)
+        assert float(rows[1].split(",")[-2]) == pytest.approx(-0.393, abs=1e-3)
+
     def test_capability_error(self, tmp_path):
         data = base_config(
             tmp_path, family="MG1", command="simulate", samples=100, seed=1

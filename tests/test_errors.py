@@ -205,23 +205,55 @@ class TestClosedForms:
         def outcome(fn, m, metric, t):
             try:
                 return fn(m, metric, t)
-            except Exception as exc:  # compared by class
+            except DepErrError as exc:  # compared by class
                 return type(exc)
 
+        cases = []
         for n in range(2, 7):
             m = random_model(family, n, rng)
             read = m._indep if family in ("Crowder", "LeeII") else m
-            ts = [math.inf] + [
+            cases.append((m, [math.inf] + [
                 t for t in (1e200, 1e300)
                 if family in ("MG1", "MOMW", "Crowder", "LeeII")
-                and series_hazard(read, t)[0] == math.inf]
+                and series_hazard(read, t)[0] == math.inf]))
+        if family == "Crowder":
+            # H_i = 1e220 is finite, (g + s)**3 is not: a float t raised
+            # OverflowError for every metric, and an array warned
+            m = validate_model(ModelSpec(
+                "Crowder", 2, {(1,): 1.0, (2,): 0.5}, shapes=(2.0, 1.0),
+                gamma=0.5, stable_exponent=3.0))
+            assert series_hazard(m, 1e110) == (math.inf, math.inf)
+            assert series_hazard(m, np.array([1e110]))[0].tolist() == [math.inf]
+            cases.append((m, [1e110, np.array([2.0, 1e110])]))
+        for m, ts in cases:
             for t in ts:
                 for metric in METRICS:
                     closed = outcome(closed_form_error, m, metric, t)
                     if closed is None:
                         continue
                     generic = outcome(relative_error, m, metric, t)
-                    assert closed == generic, (n, metric, t)
+                    if isinstance(t, float) or isinstance(closed, type):
+                        assert closed == generic, (m.n, metric, t)
+                    else:  # closed at t = 2, generic where H_d is inf
+                        np.testing.assert_allclose(closed, generic, rtol=1e-12,
+                                                   equal_nan=False)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("MOME", 2, {(1, 2): 1.0}),
+        ModelSpec("MG1", 2, {(1, 2): 0.5}),
+        ModelSpec("LeeML", 2, {(1, 2): 1.0}, alpha=1.5, scales=(1.0, 2.0)),
+        ModelSpec("MOMW", 2, {(1, 2): 1.0}, shapes=(1.5, 2.0)),
+    ])
+    def test_sf_without_singleton_rates(self, spec):
+        # the SF forms never divide by the singleton total; the others do.
+        # The counterpart's empty term table raised ValueError on an array
+        m = validate_model(spec)
+        for t in (0.5, np.array([0.5, 1.0, 2.0])):
+            np.testing.assert_allclose(closed_form_error(m, MetricKind.SF, t),
+                                       relative_error(m, MetricKind.SF, t),
+                                       rtol=1e-14)
+        with pytest.raises(ZeroDenominatorError, match="no singleton"):
+            closed_form_error(m, MetricKind.FR, 1.0)
 
     @pytest.mark.parametrize(
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]

@@ -132,6 +132,29 @@ class TestJointSF:
         m = validate_model(ModelSpec(family, n, rates, **params))
         assert joint_sf(m, x) == 0.0
 
+    @pytest.mark.parametrize("spec,x", [
+        (ModelSpec("LuBI", 1, {(1,): 1.0}, shapes=(2.0,), delta=0.5, m=2.0),
+         [1e160]),  # u**m
+        (ModelSpec("Crowder", 2, {(1,): 1.0, (2,): 0.5}, shapes=(2.0, 1.0),
+                   gamma=0.5, stable_exponent=3.0), [1e60, 1.0]),  # (g + s)**3
+        (ModelSpec("MG1", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}),
+         [1e200, 1e200]),  # product
+        (ModelSpec("MOME", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}),
+         [1e308, 1e308]),  # sum
+    ], ids=["LuBI", "Crowder", "MG1", "MOME"])
+    def test_hazard_beyond_float_range_is_quiet_zero(self, spec, x):
+        # was a bare OverflowError (LuBI, Crowder) or a RuntimeWarning
+        m = validate_model(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert joint_sf(m, x) == 0.0
+
+    def test_counterpart_with_no_rates_never_fails(self):
+        # LeeML's counterpart keeps the singleton rates, here none
+        m = validate_model(ModelSpec("LeeML", 2, {(1, 2): 1.0}, alpha=1.5,
+                                     scales=(1.0, 2.0)))
+        assert joint_sf(independent_counterpart(m), [1.0, 2.0]) == 1.0
+
     def test_componentwise_nonincreasing(self, rng):
         for family in ALL_FAMILIES:
             m = random_model(family, 3, rng)
@@ -492,3 +515,21 @@ def test_root_of_overflowed_sum_is_an_error(spec, h, dh):
         for fn in (series_hazard, lambda m, t: series_metric(m, "fr", t)):
             with pytest.raises(DomainError, match=r"t=1e\+200"):
                 fn(m, t)
+
+
+def test_tiny_gamma_gap_is_finite():
+    # s / gamma = 1e310 leaves the float range where H = (gamma + t)**0.1
+    # - gamma**0.1 = 10 does not: a quiet inf gave SF 0.0, and AI raised
+    # SingularityError
+    m = validate_model(ModelSpec("Crowder", 1, {(1,): 1.0}, shapes=(1.0,),
+                                 gamma=1e-300, stable_exponent=0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e10, np.array([2.0, 1e10])):
+            h, dh = (np.atleast_1d(v)[-1] for v in series_hazard(m, t))
+            assert (h, dh) == pytest.approx((10.0, 1e-10), rel=1e-14)
+            sf, ai = (np.atleast_1d(series_metric(m, k, t))[-1]
+                      for k in ("sf", "ai"))
+            assert (sf, ai) == pytest.approx((math.exp(-10.0), 0.1), rel=1e-13)
+        assert joint_sf(m, [1e10]) == pytest.approx(math.exp(-10.0), rel=1e-13)
+        assert closed_form_error(m, "ai", 1e10) == pytest.approx(-0.9, rel=1e-13)
