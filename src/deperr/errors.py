@@ -113,8 +113,9 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     asserts.  t is a float, giving a float, or a 1-D array, giving an
     array; powers and sums run over the whole array, and expm1 per point.
     A float takes the float path of :func:`series_hazard`.  Where t, or
-    for MG1, MOMW and Crowder/LeeII the hazard the form reads, is inf, the
-    error is the generic one.  The SF forms need no singleton rate.
+    for MG1, MOMW and Crowder/LeeII the hazard the form reads, is inf, and
+    where the Crowder/LeeII singleton sum is 0, the error is the generic
+    one.  The SF forms need no singleton rate.
     """
     metric = _metric_kind(metric)
     t, tc = _times(t)
@@ -127,15 +128,18 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
             fam is Family.MOMW and metric in (MetricKind.RHR, MetricKind.AI)):
         return None  # no closed form; use the generic combinator
     # The forms meet inf - inf and inf/inf where t or the hazard they read
-    # (for MOMW H_d >= H_i) is inf: the error is generic there.
+    # (for MOMW H_d >= H_i) is inf, and 0/0 where the Crowder/LeeII
+    # singleton sum s underflows to 0: the error is generic there.
     if fam in (Family.MG1, Family.MOMW):
         h, dh = _hazard(model, t, tc)
+        edge = h == math.inf
     elif fam in (Family.CROWDER, Family.LEE_II):
         s, _ = _hazard(model._indep, t, tc)  # IndepWeibull
         h = power_gap(model.gamma, s, model.stable_exponent)  # H_d, or inf
+        edge = (h == math.inf) | (s == 0.0)
     else:  # MOME and LeeML
-        h = t
-    if _first_where(t, h == math.inf) is not None:
+        edge = t == math.inf
+    if _first_where(t, edge) is not None:
         if tc is None:
             return relative_error(model, metric, t)
         return np.array([closed_form_error(model, metric, x) for x in t])

@@ -468,15 +468,19 @@ def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc):
     One point reduces each subset's segment of `flat_members` in one
     `reduceat`.  A (k, n) batch takes the singletons as one matrix-vector
     product and then adds each larger subset from its members' columns:
-    O(k * sum |T|) work and no (k, subsets, n) temporary.
+    O(k * sum |T|) work and no (k, subsets, n) temporary.  `fmax` with 0
+    makes a product of inf and 0 (nan) 0 and leaves the others, all >= 0.
     """
+    product = reduce is np.multiply
     if v.ndim == 1:
         flat, starts = rates.flat_members
-        return rates.rate_array @ reduce.reduceat(v[flat], starts)
+        parts = reduce.reduceat(v[flat], starts)
+        return rates.rate_array @ (np.fmax(parts, 0.0) if product else parts)
     cols = v.T
     h = _singleton_dot(rates, v)
     for members, rate in rates.interaction_members:
-        h += rate * reduce.reduce(cols[members], axis=0)
+        part = reduce.reduce(cols[members], axis=0)
+        h += rate * (np.fmax(part, 0.0, out=part) if product else part)
     return h
 
 
@@ -492,41 +496,41 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     `x` is one point of shape (n,), giving a numpy float, or a batch of
     shape (k, n), giving a (k,) array.  With `members`, a boolean (k, n)
     array, `x` is one point t * 1 and the batch is t * 1_S per row S: each
-    component's power is taken once, not once per row.  Callers hold
-    `np.errstate(over="ignore")`: a power, sum or product may be inf.
+    component's power is taken once, not once per row.  A power, sum or
+    product beyond the float range is inf, quietly, and so is the hazard
+    at an inf coordinate of a component that fails in finite time.
     """
     fam = model.family
     rates = model.rates
-    if fam is Family.INDEP_EXP:
-        return _masked(members, x) @ rates.singleton_vector
-    if fam is Family.MOME:
-        return _shock_sum(rates, _masked(members, x), np.maximum)
-    if fam is Family.MG1:
-        return _shock_sum(rates, _masked(members, x), np.multiply)
-    if fam is Family.LEE_ML:
-        powered = _masked(members, model._scale_powers * x**model.alpha)
-        return _shock_sum(rates, powered, np.maximum)
-    powered = _masked(members, x**model._shape_vector)  # Weibull
-    if fam is Family.MOMW:
-        return _shock_sum(rates, powered, np.maximum)
-    s = _singleton_dot(rates, powered)
-    if fam in (Family.CROWDER, Family.LEE_II):
-        return power_gap(model.gamma, s, model.stable_exponent)
-    if fam is Family.INDEP_WEIBULL or model.delta == 0.0:
-        return s  # LuBI's delta * u**m would be 0 * inf at a huge x
-    if fam is Family.LU_BI:
+    if fam is Family.MG1:  # a shock's product may be inf * 0: 0 there
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _shock_sum(rates, _masked(members, x), np.multiply)
+    with np.errstate(over="ignore"):
+        if fam in (Family.INDEP_EXP, Family.MOME):
+            v = x
+        elif fam is Family.LEE_ML:
+            v = model._scale_powers * x**model.alpha
+        else:  # Weibull
+            v = x**model._shape_vector
+        v = _masked(members, v)
+        if fam in (Family.MOME, Family.MOMW, Family.LEE_ML):
+            return _shock_sum(rates, v, np.maximum)
+        s = _singleton_dot(rates, v)
+        if fam in (Family.CROWDER, Family.LEE_II):
+            return power_gap(model.gamma, s, model.stable_exponent)
+        if fam is not Family.LU_BI or model.delta == 0.0:
+            return s  # LuBI's delta * u**m would be 0 * inf at a huge x
         mm = model.m
         root = rates.singleton_vector ** (1.0 / mm)
         u = _masked(members, x ** (model._shape_vector / mm)) @ root
         return s + model.delta * u**mm
-    raise AssertionError(f"unhandled family {fam}")
 
 
 def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
     """Joint survival probability P(X_1 > x_1, ..., X_n > x_n), a float.
 
-    Where the joint hazard leaves the float range it is 0.0, quietly, but
-    for an MG1 shock product of inf and 0 (nan, with a RuntimeWarning).
+    Where the joint hazard leaves the float range it is 0.0, quietly, as
+    at an inf coordinate of a component that fails in finite time.
     """
     vec = np.asarray(x, dtype=float)
     if vec.shape != (model.n,):
@@ -535,12 +539,7 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
         )
     if not (vec >= 0).all():  # also catches NaN
         raise DomainError("x coordinates must be nonnegative")
-    if np.isinf(vec).any():
-        # Every component has a positive total rate, so P(X_i > inf) = 0;
-        # the kernel would meet 0 * inf (MG1 products, LuBI with delta 0).
-        return 0.0
-    with np.errstate(over="ignore"):  # a huge power, sum or product: SF 0
-        return clamp_unit(math.exp(-_joint_hazard(model, vec)))
+    return clamp_unit(math.exp(-_joint_hazard(model, vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +617,14 @@ def _chain(t, base, ell: float, ds, table):
     float range is inf, quietly.  At t = inf the derivative is 0 * inf or
     inf * 0: there it is the limit from the table's leading term (w, e),
     ell * e * w**ell * t**(ell * e - 1), i.e. inf, ell * e * w**ell or 0 as
-    ell * e is >, = or < 1.  A finite t whose base is inf with ell < 1,
-    where base**ell may be finite, raises DomainError."""
-    if isinstance(t, float):  # an inf base makes H inf: `_hazard` retries
+    ell * e is >, = or < 1.  With ell < 1, a base that is 0 or inf at a
+    finite t, where base**ell may be finite, raises DomainError."""
+    if isinstance(t, float):  # `_hazard` retries an inf H or a 0.0 ** -x
         return base**ell, ell * base ** (ell - 1.0) * ds
-    bad = _first_where(t, (base == math.inf) & (t < math.inf))
+    edge = (base == 0.0) | (base == math.inf)  # t > 0, so base is > 0
+    bad = _first_where(t, edge & (t < math.inf))
     if ell < 1.0 and bad is not None:
-        raise DomainError(f"a power sum under a root is inf at t={bad}")
+        raise DomainError(f"a power sum under a root is 0 or inf at t={bad}")
     with np.errstate(over="ignore"):
         if not (t == math.inf).any():
             return base**ell, ell * base ** (ell - 1.0) * ds
@@ -644,19 +644,20 @@ def series_hazard(model: ValidatedModel, t):
     exponents switch; H' there is the right derivative.
 
     Both paths sum the model's term tables: a float 0 < t < inf on Python
-    floats, an array in numpy.  t = inf, and a float where that overflows,
-    take the array path as a one-point array, with its values, errors and
-    warnings.  A power beyond the float range is inf; a root of such a
-    sum at a finite t (Crowder, LeeII, LuBI) raises DomainError.
+    floats, an array in numpy.  t = inf, and a float where that overflows
+    or divides by 0, take the array path as a one-point array, with its
+    values, errors and warnings.  A power beyond the float range is inf; a
+    root of a sum that is inf, or 0, at a finite t > 0 (Crowder, LeeII,
+    LuBI) raises DomainError.
     """
     return _hazard(model, *_times(t))
 
 
 def _hazard(model: ValidatedModel, t, tc):
     """series_hazard at a t checked by `_times`.  A float falls back to the
-    array path where its own overflows: there Python's ** raises
-    OverflowError and a product is inf with no warning, where numpy gives
-    inf (quietly for a power sum)."""
+    array path where its own overflows or meets 0.0 ** -x: there Python's
+    ** raises OverflowError or ZeroDivisionError and a product is inf with
+    no warning, where numpy gives inf (quietly for a power sum)."""
     if tc is not None:
         return _kernel(model, t, tc)
     if t < math.inf:
@@ -664,7 +665,7 @@ def _hazard(model: ValidatedModel, t, tc):
             h, dh = _kernel(model, t, None)
             if h + dh < math.inf:  # neither inf nor nan: nothing overflowed
                 return h, dh
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             pass
     h, dh = _hazard(model, np.array([t]), np.array([[t]]))
     return float(h[0]), float(dh[0])

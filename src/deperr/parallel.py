@@ -84,10 +84,6 @@ def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
     """(sf_ie, error_bound) of `parallel_sf_ie`, without the compact form."""
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
-    if t == math.inf:
-        # Every component has a positive total rate, so every marginal
-        # survival is 0; the kernel would meet 0 * inf (MG1 products).
-        return 0.0, 0.0
     bits = 1 << np.arange(model.n, dtype=np.int64)
     kappa = len(model.rates.items) + model.n + 2
     weighted: list[float] = []  # per chunk, sum of term_S * (3 + kappa * H_S)
@@ -101,21 +97,18 @@ def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
             weighted.append(float(np.dot(sf, weight)))
             yield (signs * sf).tolist()
 
-    with np.errstate(over="ignore"):  # a power of a huge t is inf: term 0
-        value = clamp_unit(math.fsum(chain.from_iterable(chunk_terms())))
+    value = clamp_unit(math.fsum(chain.from_iterable(chunk_terms())))
     return value, 0.5 * sys.float_info.epsilon * math.fsum(weighted)
 
 
 def _product_sf(model: ValidatedModel, t: float) -> float:
     """Parallel survival 1 - prod_i P(X_i <= t) of a product model, in O(n):
     -expm1(sum_i log1p(-exp(-H_i))) (Maechler 2012) from one kernel call,
-    the singletons as subset batch.  No 2^n sum, so no cancellation."""
-    if t == math.inf:  # as `_ie_sum`
-        return 0.0
+    the singletons as subset batch.  No 2^n sum, so no cancellation.  At a
+    huge t or t = inf, H_i is inf, or 0 for a component with zero rate."""
     n = model.n
-    # A power of a huge t is inf; a component with zero rate has log1p(-1).
-    with np.errstate(over="ignore", divide="ignore"):
-        q = np.exp(-_joint_hazard(model, np.full(n, t), np.eye(n, dtype=bool)))
+    q = np.exp(-_joint_hazard(model, np.full(n, t), np.eye(n, dtype=bool)))
+    with np.errstate(divide="ignore"):  # a component with zero rate: log1p(-1)
         log_cdf = float(np.log1p(-q).sum())
     # 0.0 - x, not -x: where every q is 0 the sum is -0.0, and this is +0.0
     return 0.0 - math.expm1(log_cdf)
@@ -156,8 +149,9 @@ def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
     shocks = [mask for mask, _ in model.rates.items]
     rates = model.rates.rate_array
     inside_only = fam is Family.MG1
-    if inside_only:  # numpy powers overflow to inf, not OverflowError
-        rates = rates * t ** np.array([s.bit_count() for s in shocks], float)
+    if inside_only:  # numpy's t**|T| past the float range is inf: term 0
+        with np.errstate(over="ignore"):
+            rates = rates * t ** np.array([s.bit_count() for s in shocks], float)
     rates = rates.tolist()
 
     def chunk_terms() -> Iterator[list[float]]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deperr import (
+    DepErrError,
     DomainError,
     Family,
     MetricKind,
@@ -18,6 +19,7 @@ from deperr import (
     closed_form_error,
     independent_counterpart,
     joint_sf,
+    relative_error,
     series_hazard,
     series_metric,
     validate_model,
@@ -141,7 +143,10 @@ class TestJointSF:
          [1e200, 1e200]),  # product
         (ModelSpec("MOME", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}),
          [1e308, 1e308]),  # sum
-    ], ids=["LuBI", "Crowder", "MG1", "MOME"])
+        (ModelSpec("MG1", 3, {(1,): 1.0, (2,): 1.0, (3,): 1.0,
+                              (1, 2, 3): 0.5}),
+         [1e200, 1e200, 0.0]),  # a shock's product inf * 0 was nan
+    ], ids=["LuBI", "Crowder", "MG1", "MOME", "MG1-zero"])
     def test_hazard_beyond_float_range_is_quiet_zero(self, spec, x):
         # was a bare OverflowError (LuBI, Crowder) or a RuntimeWarning
         m = validate_model(spec)
@@ -515,6 +520,51 @@ def test_root_of_overflowed_sum_is_an_error(spec, h, dh):
         for fn in (series_hazard, lambda m, t: series_metric(m, "fr", t)):
             with pytest.raises(DomainError, match=r"t=1e\+200"):
                 fn(m, t)
+
+
+@pytest.mark.parametrize("spec,t,zero_base", [
+    (ModelSpec("LeeII", 1, {(1,): 1.0}, shapes=(50.0,), stable_exponent=0.5),
+     1e-10, True),
+    (ModelSpec("Crowder", 1, {(1,): 1.0}, shapes=(50.0,), gamma=0.0,
+               stable_exponent=0.5), 1e-10, True),
+    (ModelSpec("Crowder", 1, {(1,): 1.0}, shapes=(50.0,), gamma=0.5,
+               stable_exponent=0.5), 1e-10, False),
+    (ModelSpec("LuBI", 1, {(1,): 1.0}, shapes=(50.0,), delta=0.5, m=0.5),
+     1e-4, True),
+], ids=["LeeII", "Crowder-g0", "Crowder-g0.5", "LuBI"])
+def test_root_of_underflowed_sum(spec, t, zero_base):
+    # t**50 (LuBI's u = t**100) underflows to 0: a root's derivative took
+    # 0.0 ** -0.5, a bare ZeroDivisionError for a float t and nan with a
+    # RuntimeWarning for an array; the Crowder/LeeII closed forms read the
+    # sum s = 0 (FR and RHR gave -0.29 where the generic error raises)
+    m = validate_model(spec)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DepErrError as exc:  # compared by class
+            return type(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (t, np.array([0.5, t])):
+            if zero_base:
+                fns = [series_hazard] + [
+                    lambda m, x, k=k: series_metric(m, k, x)
+                    for k in ("sf", "fr", "rhr", "ai")]
+                for fn in fns:
+                    with pytest.raises(DomainError, match=f"t={t}"):
+                        fn(m, x)
+            if spec.family == "LuBI":
+                continue  # no closed form
+            for metric in MetricKind:
+                closed = outcome(closed_form_error, m, metric, x)
+                generic = outcome(relative_error, m, metric, x)
+                if isinstance(x, float) or isinstance(closed, type):
+                    assert closed == generic, (metric, x)
+                else:  # the closed form at 0.5, the generic error at t
+                    assert closed[1] == generic[1]
+                    assert closed[0] == pytest.approx(generic[0], rel=1e-12)
 
 
 def test_tiny_gamma_gap_is_finite():
