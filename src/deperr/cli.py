@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,9 +328,14 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> None:
-    """Execute the command, then write the CSV artifact (not atomically)."""
-    text = _RUNNERS[config.command](config)
-    Path(config.output).write_text(text, newline="")
+    """Execute the command, then rewrite the output CSV in place: no O_TRUNC,
+    which on ext4 flushes a rerun's data on close, and a regular file (not
+    /dev/null or a pipe, where ftruncate fails) is cut to the bytes written."""
+    data = _RUNNERS[config.command](config).encode()
+    with open(os.open(config.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        out.write(data)
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()
 
 
 # ---------------------------------------------------------------------------

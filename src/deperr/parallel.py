@@ -161,8 +161,8 @@ def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
                 common = masks & shock
                 acts = common == shock if inside_only else common != 0
                 np.add(exponent, rate, out=exponent, where=acts)
-            if not inside_only:
-                exponent *= t
+            if not inside_only:  # a subset that never fails has exp(-0) at inf
+                np.multiply(exponent, t, out=exponent, where=exponent != 0)
             yield (signs * np.exp(-exponent)).tolist()
 
     return clamp_unit(math.fsum(chain.from_iterable(chunk_terms())))

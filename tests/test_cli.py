@@ -30,6 +30,8 @@ from deperr.exceptions import ConfigError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+GOLDEN_NAMES = ["eval_mome", "errors_mg1", "classify_weibull",
+                "parallel_indep", "simulate_lee"]
 
 
 def write_config(tmp_path, name, data):
@@ -196,13 +198,24 @@ class TestExitCodes:
         assert main(["eval", "--model", str(path)]) == EXIT_IO
 
     def test_no_partial_file_on_error(self, tmp_path):
-        # evaluation-time failure must not leave any output behind
+        # evaluation-time failure must not leave any output behind, nor
+        # touch an existing one: the output is opened after the result
         data = base_config(tmp_path, command="classify")
         data["grid"] = {"start": 1.0, "stop": 2.0, "count": 2,
                         "spacing": "linear"}
         path = write_config(tmp_path, "dom.json", data)
         assert main(["classify", "--model", str(path)]) == EXIT_DOMAIN
         assert not (tmp_path / "out.csv").exists()
+        old = b"an earlier result\n" * 500
+        (tmp_path / "out.csv").write_bytes(old)
+        assert main(["classify", "--model", str(path)]) == EXIT_DOMAIN
+        assert (tmp_path / "out.csv").read_bytes() == old
+
+    def test_output_to_dev_null(self, tmp_path):
+        # only a regular file is cut to length: ftruncate fails on /dev/null
+        path = write_config(tmp_path, "ok.json", base_config(tmp_path))
+        argv = ["eval", "--model", str(path), "--output", "/dev/null"]
+        assert main(argv) == EXIT_OK
 
 
 class TestOutput:
@@ -354,19 +367,26 @@ class TestOutput:
 
 
 class TestGolden:
-    @pytest.mark.parametrize(
-        "name",
-        ["eval_mome", "errors_mg1", "classify_weibull", "parallel_indep",
-         "simulate_lee"],
-    )
-    def test_matches_golden(self, name, tmp_path):
-        config_path = DATA / f"{name}.json"
-        data = json.loads(config_path.read_text())
+    @staticmethod
+    def run_golden(name, tmp_path):
+        data = json.loads((DATA / f"{name}.json").read_text())
         out = tmp_path / f"{name}.csv"
         data["output"] = str(out)
         path = write_config(tmp_path, f"{name}.json", data)
         assert main([data["command"], "--model", str(path)]) == EXIT_OK
-        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_matches_golden(self, name, tmp_path):
+        golden = (GOLDEN / f"{name}.csv").read_bytes()
+        assert self.run_golden(name, tmp_path) == golden
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_rerun_over_longer_file_matches_golden(self, name, tmp_path):
+        # the output is rewritten in place, so the old tail must be cut off
+        golden = (GOLDEN / f"{name}.csv").read_bytes()
+        (tmp_path / f"{name}.csv").write_bytes(golden * 2)
+        assert self.run_golden(name, tmp_path) == golden
 
     def test_parallel_rerun_matches_golden(self, tmp_path):
         # the second run's model is a new object equal to the first's, and

@@ -224,6 +224,16 @@ def test_mg1_infinite_t_is_zero():
     assert result.sf_closed == 0.0
 
 
+def test_zero_rate_component_infinite_t_is_one():
+    # the counterpart is IndepExp with lambda_2 = 0: X_2 never fails, and
+    # the compact form took 0 * inf for the subset {2}
+    m = validate_model(ModelSpec("MOME", 2, {(1,): 1.0, (1, 2): 1.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = parallel_sf_ie(independent_counterpart(m), math.inf)
+    assert (result.sf_ie, result.sf_closed) == (1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # The independent side in O(n), and the masked kernel
 # ---------------------------------------------------------------------------
