@@ -38,7 +38,6 @@ from .models import (
     _metric_kind,
     _metric_values,
     _times,
-    independent_counterpart,
     series_hazard,
 )
 from .numerics import each, expm1_ratio, power_gap
@@ -254,7 +253,7 @@ def error_curve(
     """
     metric = MetricKind(metric)
     pts = grid_points(grid, minimum=1)
-    indep = independent_counterpart(model)
+    indep = model._indep
     h_dep, dh_dep = series_hazard(model, pts)
     h_ind, dh_ind = series_hazard(indep, pts)
     dep = _metric_values(metric, pts, h_dep, dh_dep).tolist()

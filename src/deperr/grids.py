@@ -44,6 +44,10 @@ class GridSpec:
             raise DomainError(f"grid.spacing: must be one of {SPACINGS}")
 
     def points(self) -> np.ndarray:
+        """The grid's times as a float array.  One point is `[start]`, as
+        numpy's spaced grids give it, without their fixed cost."""
+        if self.count == 1:
+            return np.array([self.start], dtype=float)
         if self.spacing == "log":
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)

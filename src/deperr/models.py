@@ -61,14 +61,7 @@ def _metric_kind(metric) -> MetricKind:
 
 def mask_members(mask: int) -> tuple[int, ...]:
     """0-based component indices contained in a bitmask subset."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def subset_to_mask(subset: Iterable[int], n: int) -> int:
@@ -143,9 +136,8 @@ class SubsetRates:
         """Per-component singleton rates lambda_i (zero when absent)."""
         vec = np.zeros(self.n)
         for mask, rate in self.items:
-            members = mask_members(mask)
-            if len(members) == 1:
-                vec[members[0]] = rate
+            if mask & (mask - 1) == 0:
+                vec[mask.bit_length() - 1] = rate
         return vec
 
     @cached_property
@@ -167,21 +159,23 @@ class SubsetRates:
         return np.array([rate for _, rate in self.items], dtype=float)
 
     @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """`mask_members` of each rated subset, in the order of `items`."""
+        return tuple(mask_members(mask) for mask, _ in self.items)
+
+    @cached_property
     def flat_members(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat, starts): the 0-based members of each rated subset in the
         order of `items`, concatenated, and the offset of each in `flat`."""
-        flat = [i for mask, _ in self.items for i in mask_members(mask)]
-        sizes = np.array([mask.bit_count() for mask, _ in self.items], np.intp)
+        flat = [i for members in self.members for i in members]
+        sizes = np.array([len(members) for members in self.members], np.intp)
         return np.array(flat, np.intp), np.cumsum(sizes) - sizes
 
     @cached_property
     def interaction_members(self) -> tuple[tuple[np.ndarray, float], ...]:
         """(0-based member indices, rate) of each rated subset of size >= 2."""
-        return tuple(
-            (np.array(mask_members(mask)), rate)
-            for mask, rate in self.items
-            if mask.bit_count() > 1
-        )
+        return tuple((np.array(members), rate) for members, (_, rate)
+                     in zip(self.members, self.items) if len(members) > 1)
 
     def singletons_only(self) -> "SubsetRates":
         return SubsetRates(
@@ -268,8 +262,8 @@ class ValidatedModel:
             return (_table([(self._lee_total, self.alpha)]),)
         shapes = self.shapes
         if fam is Family.MOMW:
-            shocks = [(rate, [shapes[i] for i in mask_members(mask)])
-                      for mask, rate in items]
+            shocks = [(rate, [shapes[i] for i in members])
+                      for members, (_, rate) in zip(self.rates.members, items)]
             return (_table((rate, min(s)) for rate, s in shocks),
                     _table((rate, max(s)) for rate, s in shocks))
         singles = [(rate, shapes[mask.bit_length() - 1])
@@ -298,13 +292,9 @@ class ValidatedModel:
 
         lambda_L = sum_S lambda_S * max_{i in S} c_i**alpha.
         """
-        cpow = self._scale_powers
-        return float(
-            math.fsum(
-                rate * max(cpow[i] for i in mask_members(mask))
-                for mask, rate in self.rates.items
-            )
-        )
+        cpow, rates = self._scale_powers, self.rates
+        return math.fsum(rate * max(cpow[i] for i in members)
+                         for members, (_, rate) in zip(rates.members, rates.items))
 
 
 # Messages name these fields with their config keys too.
@@ -379,7 +369,8 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
             "rates: total rate exceeds the float range"
         ) from None
     interacting = (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
-    if family not in interacting and rates.interaction_members:
+    if family not in interacting and any(mask & (mask - 1)
+                                         for mask, _ in rates.items):
         raise ValidationError(
             f"rates: family {family.value} admits only singleton subsets"
         )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from deperr import (
     DomainError,
+    GridSpec,
     MetricKind,
     ModelSpec,
     classify_aging,
@@ -371,6 +372,19 @@ class TestCurvesAndClassification:
         m = mome({(1,): 1.0, (2,): 1.0})
         with pytest.raises(DomainError):
             error_curve(m, MetricKind.SF, [])
+
+    @pytest.mark.parametrize("spacing,spaced", [("log", np.geomspace),
+                                                ("linear", np.linspace)])
+    def test_one_point_grid_is_numpys_bit_for_bit(self, spacing, spaced, rng):
+        exps = rng.uniform(-300.0, 300.0, size=(2000, 2))
+        pairs = [(1e-300, 1e300), (1e-300, 2e-300), (1e299, 1e300), (1, 2),
+                 (0.5, 2.0)] + [tuple(10.0 ** np.sort(e)) for e in exps]
+        for a, b in pairs:
+            if not a < b:
+                continue
+            got = GridSpec(a, b, 1, spacing).points()
+            want = spaced(a, b, 1)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     def test_classify_indep_exp(self):
         m = validate_model(ModelSpec("IndepExp", 2, {(1,): 1.0, (2,): 2.0}))

@@ -19,7 +19,7 @@ from deperr import (
     validate_model,
 )
 from deperr.models import _joint_hazard
-from deperr.parallel import _ie_sum, _product_sf
+from deperr.parallel import _CHUNK, _ie_sum, _mask_chunk, _product_sf
 
 from conftest import ALL_FAMILIES, random_model
 
@@ -333,3 +333,60 @@ def test_component_without_singleton_rate_at_huge_t(family, params):
         assert _product_sf(indep, 1e200) == 1.0
         assert parallel_relative_error(m, 1e200) == -1.0
         assert joint_sf(indep, [1e200, 1e200]) == 0.0
+
+
+def test_mask_chunk_tables_are_read_only_and_bounded():
+    assert _mask_chunk.cache_info().maxsize == 16
+    for table in _mask_chunk(3, 1):
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
+@pytest.mark.parametrize("n", [1, 12, 13, 14])
+def test_mask_chunks_cover_every_subset_once(n):
+    starts = range(1, 1 << n, _CHUNK)
+    masks, signs, members = (np.concatenate(parts) for parts in
+                             zip(*(_mask_chunk(n, s) for s in starts)))
+    assert masks.tolist() == list(range(1, 1 << n))
+    sizes = members.sum(axis=1)
+    assert (sizes == [m.bit_count() for m in masks.tolist()]).all()
+    assert (members == (masks[:, None] >> np.arange(n) & 1).astype(bool)).all()
+    assert (signs == np.where(sizes % 2 == 1, 1.0, -1.0)).all()
+
+
+def _sparse_models(n):
+    """A MOME model (IE and compact form) and a LuBI model (IE only)."""
+    singles = {(i,): 0.05 + 0.1 * i for i in range(1, n + 1)}
+    shocks = {(1, n): 0.3, tuple(range(2, n + 1, 3)): 0.2}
+    shapes = tuple(0.8 + 0.1 * i for i in range(n))
+    return [validate_model(ModelSpec("MOME", n, {**singles, **shocks})),
+            validate_model(ModelSpec("LuBI", n, singles, shapes=shapes,
+                                     delta=0.4, m=1.3))]
+
+
+def _ie_bytes(models, t=0.7):
+    out = []
+    for m in models:
+        r = parallel_sf_ie(m, t)
+        out.append((r.sf_ie.hex(), r.sf_closed, r.error_bound.hex()))
+    return out
+
+
+@pytest.mark.parametrize("n", [13, 14])  # two and four chunks
+def test_ie_same_bytes_with_cold_and_warm_chunk_cache(n):
+    models = _sparse_models(n)
+    _mask_chunk.cache_clear()
+    cold = _ie_bytes(models)
+    assert _mask_chunk.cache_info().currsize == (1 << n) // _CHUNK
+    assert _ie_bytes(models) == cold
+    assert cold[0][1] == pytest.approx(float.fromhex(cold[0][0]), rel=1e-12)
+
+
+def test_ie_same_bytes_when_n_interleaves():
+    big, small = _sparse_models(14), _sparse_models(9)
+    _mask_chunk.cache_clear()
+    first = _ie_bytes(big)
+    small_first = _ie_bytes(small)
+    assert _ie_bytes(big) == first
+    _mask_chunk.cache_clear()
+    assert _ie_bytes(small) == small_first
