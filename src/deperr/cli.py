@@ -242,21 +242,15 @@ def emit_config(config: RunConfig) -> str:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
 def _csv(header: list[str], rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,6 @@ from .models import (
     ValidatedModel,
     _fill,
     _first_where,
-    _hazard,
     _metric_kind,
     _metric_values,
     _times,
@@ -74,7 +73,8 @@ _ERROR_FROM_HAZARDS = {
     MetricKind.RHR: lambda t, hd, dhd, hi, dhi: (
         _rhr_error(t, dhd / dhi, hi, hd)
     ),
-    MetricKind.AI: lambda t, hd, dhd, hi, dhi: (dhd * hi) / (dhi * hd) - 1.0,
+    MetricKind.AI: lambda t, hd, dhd, hi, dhi: (  # nan: dhi * hd underflows
+        (dhd * hi) / d - 1.0 if (d := dhi * hd) else math.nan),
 }
 
 
@@ -82,10 +82,10 @@ def relative_error(model: ValidatedModel, metric: MetricKind, t):
     """Generic relative error of the named series metric at time t.
 
     t is a float, giving a float, or a 1-D array, giving an array.  Where
-    the hazards give inf/inf (or 0 * inf), it raises SingularityError.
+    the hazards give inf/inf (or 0 * inf) or 0/0, it raises SingularityError.
     """
     metric = _metric_kind(metric)
-    t, _ = _times(t)
+    t = _times(t)
     indep = model._indep
     h_ind, dh_ind = series_hazard(indep, t)
     # Evaluating the reference metric both enforces the domain checks and
@@ -100,7 +100,8 @@ def relative_error(model: ValidatedModel, metric: MetricKind, t):
     err = each(_ERROR_FROM_HAZARDS[metric], t, h_dep, dh_dep, h_ind, dh_ind)
     bad = _first_where(t, err != err)
     if bad is not None:
-        raise SingularityError(f"{metric.value} error meets inf/inf at t={bad}")
+        raise SingularityError(
+            f"{metric.value} error meets inf/inf or 0/0 at t={bad}")
     return err
 
 
@@ -113,11 +114,11 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     array; powers and sums run over the whole array, and expm1 per point.
     A float takes the float path of :func:`series_hazard`.  Where t, or
     for MG1, MOMW and Crowder/LeeII the hazard the form reads, is inf, and
-    where the Crowder/LeeII singleton sum is 0, the error is the generic
-    one.  The SF forms need no singleton rate.
+    where the Crowder/LeeII singleton sum or the LeeML t**alpha is 0, the
+    error is the generic one.  The SF forms need no singleton rate.
     """
     metric = _metric_kind(metric)
-    t, tc = _times(t)
+    t = _times(t)
     fam = model.family
     if model._is_product:
         # A product model: no dependence, so the error is exactly 0, where
@@ -127,21 +128,25 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
             fam is Family.MOMW and metric in (MetricKind.RHR, MetricKind.AI)):
         return None  # no closed form; use the generic combinator
     # The forms meet inf - inf and inf/inf where t or the hazard they read
-    # (for MOMW H_d >= H_i) is inf, and 0/0 where the Crowder/LeeII
-    # singleton sum s underflows to 0: the error is generic there.
+    # (for MOMW H_d >= H_i) is inf, and 0/0 where the Crowder/LeeII sum s
+    # or LeeML's x = t**alpha underflows to 0: the error is generic there.
     if fam in (Family.MG1, Family.MOMW):
-        h, dh = _hazard(model, t, tc)
+        h, dh = series_hazard(model, t)
         edge = h == math.inf
     elif fam in (Family.CROWDER, Family.LEE_II):
-        s, _ = _hazard(model._indep, t, tc)  # IndepWeibull
+        s, _ = series_hazard(model._indep, t)  # IndepWeibull
         h = power_gap(model.gamma, s, model.stable_exponent)  # H_d, or inf
         edge = (h == math.inf) | (s == 0.0)
-    else:  # MOME and LeeML
-        edge = t == math.inf
+    else:  # MOME and LeeML, whose forms read x = t or t**alpha
+        x = t
+        if fam is Family.LEE_ML:
+            with np.errstate(over="ignore"):  # t**alpha may be inf
+                x = np.power(t, model.alpha)
+        edge = (t == math.inf) | (x == 0.0)
     if _first_where(t, edge) is not None:
-        if tc is None:
+        if isinstance(t, float):
             return relative_error(model, metric, t)
-        return np.array([closed_form_error(model, metric, x) for x in t])
+        return np.array([closed_form_error(model, metric, u) for u in t])
 
     if fam is Family.MOME:
         lam = model.rates.total
@@ -169,7 +174,7 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         return t * dh / h - 1.0  # AI; independent side is 1
 
     if fam is Family.MOMW:
-        s, ds = _hazard(model._indep, t, tc)
+        s, ds = series_hazard(model._indep, t)
         if metric is MetricKind.SF:
             return each(_sf_error, t, s - h)
         if _first_where(t, ds == 0.0) is not None:
@@ -190,16 +195,14 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     if fam is Family.LEE_ML:
         lam_l = model._lee_total
         s = model._indep._lee_total
-        with np.errstate(over="ignore"):  # t**alpha may be inf
-            ta = np.power(t, model.alpha)
         if metric is MetricKind.SF:
-            return each(_sf_error, t, -ta * (lam_l - s))
+            return each(_sf_error, t, -x * (lam_l - s))
         if s == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
             return _fill(t, lam_l / s - 1.0)
         if metric is MetricKind.RHR:
-            return (lam_l / s) * each(expm1_ratio, s * ta, lam_l * ta) - 1.0
+            return (lam_l / s) * each(expm1_ratio, s * x, lam_l * x) - 1.0
         return _fill(t, 0.0)  # AI is the common shape on both sides
 
 
@@ -234,7 +237,7 @@ class ErrorPoint(NamedTuple):
     t: float
     dep: float
     indep: float
-    rel_err: float | None  # None: zero reference, out of range, inf/inf
+    rel_err: float | None  # None: zero ref, out of range, inf/inf, 0/0
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ def error_curve(
     """Pointwise relative error with the raw dependent/independent values.
 
     rel_err is None where the independent value is 0, where an SF or RHR
-    error exceeds the float range, and where the hazards give inf/inf.
+    error exceeds the float range, and where the hazards give inf/inf or 0/0.
     """
     metric = MetricKind(metric)
     pts = grid_points(grid, minimum=1)

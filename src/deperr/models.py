@@ -252,10 +252,12 @@ class ValidatedModel:
     @cached_property
     def _term_tables(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
         """The power sums of the series hazard as `_table`s, for a float t
-        and an array t alike: H for MG1 and LeeML, H for t < 1 and for
-        t >= 1 for MOMW, and the singleton sum for the other Weibull
-        families, then LuBI's coupling sum where delta > 0."""
+        and an array t alike: H for IndepExp, MOME, MG1 and LeeML, H for
+        t < 1 and for t >= 1 for MOMW, and the singleton sum for the other
+        Weibull families, then LuBI's coupling sum where delta > 0."""
         fam, items = self.family, self.rates.items
+        if fam in (Family.INDEP_EXP, Family.MOME):
+            return (_table([(self.rates.total, 1.0)]),)
         if fam is Family.MG1:
             return (_table((rate, float(mask.bit_count())) for mask, rate in items),)
         if fam is Family.LEE_ML:
@@ -539,12 +541,7 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
 
 
 def _times(t):
-    """(t, tc) with every t > 0 checked.
-
-    A scalar gives t as a float and tc None; a 1-D array gives tc as a
-    (k, 1) column, so that `tc ** e` over a term table's exponents is one
-    row per time.
-    """
+    """t, checked > 0: a scalar or 0-d array as a float, or a 1-D array."""
     if isinstance(t, np.ndarray):
         if t.ndim == 0:
             return _times(float(t))
@@ -554,10 +551,10 @@ def _times(t):
         bad = _first_where(t, ~(t > 0))
         if bad is not None:
             raise DomainError(f"t must be > 0, got {bad}")
-        return t, t[:, None]
+        return t
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
-    return float(t), None
+    return float(t)
 
 
 def _first_where(t, cond):
@@ -595,9 +592,10 @@ def _power_sums(terms, t: float) -> tuple[float, float]:
     return s * t, ds
 
 
-def _sums(model: ValidatedModel, tc) -> list:
-    """`_power_sums` of each term table over the (k, 1) column tc; a power
-    beyond the float range is inf, quietly, and t**(e - 1) at inf the limit."""
+def _sums(model: ValidatedModel, t: np.ndarray) -> list:
+    """`_power_sums` of each term table over a 1-D array t; a power beyond
+    the float range is inf, quietly, and t**(e - 1) at inf the limit."""
+    tc = t[:, None]
     with np.errstate(over="ignore"):
         return [(tc**e @ w, tc**e1 @ we) for w, e, e1, we in model._term_arrays]
 
@@ -610,7 +608,7 @@ def _chain(t, base, ell: float, ds, table):
     ell * e * w**ell * t**(ell * e - 1), i.e. inf, ell * e * w**ell or 0 as
     ell * e is >, = or < 1.  With ell < 1, a base that is 0 or inf at a
     finite t, where base**ell may be finite, raises DomainError."""
-    if isinstance(t, float):  # `_hazard` retries an inf H or a 0.0 ** -x
+    if isinstance(t, float):  # `series_hazard` retries an inf H or 0.0 ** -x
         return base**ell, ell * base ** (ell - 1.0) * ds
     edge = (base == 0.0) | (base == math.inf)  # t > 0, so base is > 0
     bad = _first_where(t, edge & (t < math.inf))
@@ -634,55 +632,47 @@ def series_hazard(model: ValidatedModel, t):
     -ln joint_sf(t, ..., t).  The MOMW derivative jumps at t = 1, where the
     exponents switch; H' there is the right derivative.
 
-    Both paths sum the model's term tables: a float 0 < t < inf on Python
-    floats, an array in numpy.  t = inf, and a float where that overflows
-    or divides by 0, take the array path as a one-point array, with its
-    values, errors and warnings.  A power beyond the float range is inf; a
-    root of a sum that is inf, or 0, at a finite t > 0 (Crowder, LeeII,
-    LuBI) raises DomainError.
+    The one entry to the series kernel: every family sums its term tables,
+    a float 0 < t < inf on Python floats, an array in numpy.  t = inf, and
+    a float where that overflows or divides by 0, take the array path as a
+    one-point array.  A power or product beyond the float range is inf,
+    quietly; a root of a sum that is inf, or 0, at a finite t > 0 (Crowder,
+    LeeII, LuBI) raises DomainError.
     """
-    return _hazard(model, *_times(t))
-
-
-def _hazard(model: ValidatedModel, t, tc):
-    """series_hazard at a t checked by `_times`.  A float falls back to the
-    array path where its own overflows or meets 0.0 ** -x: there Python's
-    ** raises OverflowError or ZeroDivisionError and a product is inf with
-    no warning, where numpy gives inf (quietly for a power sum)."""
-    if tc is not None:
-        return _kernel(model, t, tc)
+    t = _times(t)
+    if isinstance(t, np.ndarray):
+        return _kernel(model, t)
+    # Python's ** raises OverflowError, or ZeroDivisionError at 0.0 ** -x,
+    # where numpy's gives inf quietly: a float retries those as an array.
     if t < math.inf:
         try:
-            h, dh = _kernel(model, t, None)
+            h, dh = _kernel(model, t)
             if h + dh < math.inf:  # neither inf nor nan: nothing overflowed
                 return h, dh
         except (OverflowError, ZeroDivisionError):
             pass
-    h, dh = _hazard(model, np.array([t]), np.array([[t]]))
+    h, dh = _kernel(model, np.array([t]))
     return float(h[0]), float(dh[0])
 
 
-def _kernel(model: ValidatedModel, t, tc):
-    """(H, H') at a float t with tc None, or at a 1-D array t."""
-    fam = model.family
-    if fam in (Family.INDEP_EXP, Family.MOME):
-        lam = model.rates.total
-        return lam * t, _fill(t, lam)
-    tables = model._term_tables
-    if fam is Family.MOMW and tc is None:  # the table for t < 1 or t >= 1
+def _kernel(model: ValidatedModel, t):
+    """(H, H') at a checked float t < inf or 1-D array t."""
+    fam, tables = model.family, model._term_tables
+    array = isinstance(t, np.ndarray)
+    if fam is Family.MOMW and not array:  # the table for t < 1 or t >= 1
         return _power_sums(tables[t >= 1.0], t)
-    sums = None if tc is None else _sums(model, tc)
+    sums = _sums(model, t) if array else None
     if fam is Family.MOMW:  # the tables for t < 1 and t >= 1, per point
         return tuple(np.where(t >= 1.0, a, b) for b, a in zip(*sums))
-    s, ds = sums[0] if sums else _power_sums(tables[0], t)
+    s, ds = sums[0] if array else _power_sums(tables[0], t)
     if fam in (Family.CROWDER, Family.LEE_II):
         g, ell = model.gamma, model.stable_exponent
         return power_gap(g, s, ell), _chain(t, g + s, ell, ds, tables[0])[1]
     if len(tables) == 2:  # LuBI with delta > 0
-        u, du = sums[1] if sums else _power_sums(tables[1], t)
+        u, du = sums[1] if array else _power_sums(tables[1], t)
         um, dum = _chain(t, u, model.m, du, tables[1])
         return s + model.delta * um, ds + model.delta * dum
-    return s, ds  # MG1, LeeML, IndepWeibull, and LuBI with delta = 0
+    return s, ds  # IndepExp, MOME, MG1, LeeML, IndepWeibull, LuBI at delta 0
 
 
 def _sf_value(h: float) -> float:

@@ -111,7 +111,7 @@ def estimate_system_sf(
     """
     if structure not in ("series", "parallel"):
         raise DomainError(f"structure must be 'series' or 'parallel', got {structure!r}")
-    t, _ = _times(t)
+    t = _times(t)
     survivors = 0
     for x in _lifetime_blocks(model, draw_count, seed):
         life = x.min(axis=1) if structure == "series" else x.max(axis=1)

@@ -277,6 +277,22 @@ class TestOutput:
         assert rows[1][4] == "" and rows[1][5] == ""
         assert 0.0 < float(rows[1][3]) < 1e-300  # subnormal reference
 
+    def test_errors_ai_zero_over_zero_is_blank(self, tmp_path):
+        # H_i' * H_d underflows to 0 at t = 1e-6: the command exited 3
+        # ("float arithmetic failed") and wrote no row
+        data = base_config(
+            tmp_path, family="MOMW", command="errors", metric="ai",
+            rates=[{"subset": [1], "lambda": 1.0},
+                   {"subset": [2], "lambda": 1.0},
+                   {"subset": [1, 2], "lambda": 0.5}],
+            shapes=[50.0, 50.0],
+            grid={"start": 1e-6, "stop": 1e-3, "count": 2, "spacing": "log"},
+        )
+        rows = [line.split(",")
+                for line in self.run_csv(tmp_path, data).splitlines()[1:]]
+        assert float(rows[0][0]) == 1e-6 and rows[0][4] == ""
+        assert rows[1][4] == "0"
+
     def test_errors_all_metrics(self, tmp_path):
         data = base_config(tmp_path, command="errors")
         text = self.run_csv(tmp_path, data)

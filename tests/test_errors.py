@@ -121,6 +121,18 @@ class TestRelativeError:
             relative_error(m, MetricKind.FR, 2.0), rel=1e-14)
         assert points[1].rel_err is None
 
+    def test_ai_zero_over_zero_is_singular(self):
+        # H_i' * H_d = 1e-292 * 2.5e-300 underflows to 0 at t = 1e-6 where
+        # both factors are > 0: a bare ZeroDivisionError failed the curve
+        m = validate_model(ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 1.0,
+                                                 (1, 2): 0.5},
+                                     shapes=(50.0, 50.0)))
+        for t in (1e-6, np.array([1e-3, 1e-6])):
+            with pytest.raises(SingularityError, match="0/0 at t=1e-06"):
+                relative_error(m, MetricKind.AI, t)
+        points = error_curve(m, MetricKind.AI, [1e-6, 1e-3]).points
+        assert [p.rel_err for p in points] == [None, 0.0]
+
 
 class TestClosedForms:
     def test_mome_rhr_example(self):

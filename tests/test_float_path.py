@@ -12,6 +12,7 @@ the array path, so the outcome is the same, exception class included.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -135,9 +136,29 @@ def test_mg1_without_singleton_rate_at_tiny_t():
 
 
 def test_hazard_overflow_in_a_product_takes_the_array_path():
-    # lam * t overflows in a product, not in **: Python gives inf quietly
-    # where numpy warns, so the float t takes the array path and warns too
-    model = random_model("MOME", 2, np.random.default_rng(1))
-    for t in (sys.float_info.max, np.array([sys.float_info.max])):
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            series_hazard(model, t)
+    # lam * t overflows in a product, not in **: Python gives inf, so the
+    # float t takes the array path, and both give (inf, lam) with no
+    # warning, as the term table (lam, 1) sums it like any other family's
+    rng = np.random.default_rng(1)
+    for family in ("MOME", "IndepExp"):
+        model = random_model(family, 2, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (sys.float_info.max, np.array([sys.float_info.max])):
+                h, dh = (float(np.atleast_1d(v)[0])
+                         for v in series_hazard(model, t))
+                assert (h, dh) == (math.inf, model.rates.total)
+
+
+@pytest.mark.parametrize("family", ["IndepExp", "MOME"])
+def test_exponential_hazard_is_rate_times_t(family, rng):
+    # the one-term table (lam, 1) gives (lam * t, lam) to the bit
+    ts = np.logspace(-6, 6)
+    for n in range(1, 7):
+        model = random_model(family, n, rng)
+        lam = model.rates.total
+        h, dh = series_hazard(model, ts)
+        assert h.tolist() == (lam * ts).tolist()
+        assert dh.tolist() == [lam] * ts.size
+        for t in ts.tolist():
+            assert series_hazard(model, t) == (lam * t, lam)

@@ -531,12 +531,16 @@ def test_root_of_overflowed_sum_is_an_error(spec, h, dh):
                stable_exponent=0.5), 1e-10, False),
     (ModelSpec("LuBI", 1, {(1,): 1.0}, shapes=(50.0,), delta=0.5, m=0.5),
      1e-4, True),
-], ids=["LeeII", "Crowder-g0", "Crowder-g0.5", "LuBI"])
+    (ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5, (1, 2): 0.4}, alpha=60.0,
+               scales=(1.0, 1.01)), 1e-6, False),
+], ids=["LeeII", "Crowder-g0", "Crowder-g0.5", "LuBI", "LeeML"])
 def test_root_of_underflowed_sum(spec, t, zero_base):
     # t**50 (LuBI's u = t**100) underflows to 0: a root's derivative took
     # 0.0 ** -0.5, a bare ZeroDivisionError for a float t and nan with a
     # RuntimeWarning for an array; the Crowder/LeeII closed forms read the
-    # sum s = 0 (FR and RHR gave -0.29 where the generic error raises)
+    # sum s = 0 (FR and RHR gave -0.29 where the generic error raises), and
+    # the LeeML forms t**60 = 0 (RHR 0.516 where its limit is 0, FR 0.516
+    # and AI 0.0 where the generic error raises)
     m = validate_model(spec)
 
     def outcome(fn, *args):
