@@ -45,64 +45,60 @@ from .numerics import each, expm1_ratio, power_gap
 MONOTONE_TOL = 1e-9
 
 
-def _sf_error(t: float, x: float) -> float:
-    """exp(x) - 1, the SF relative error at t for x = H_i - H_d."""
+def _expm1(x: float) -> float:
+    """exp(x) - 1, or inf beyond the float range."""
     try:
         return math.expm1(x)
     except OverflowError:
-        raise ZeroDenominatorError(
-            f"sf relative error exceeds the float range at t={t}"
-        ) from None
+        return math.inf
 
 
-def _rhr_error(t: float, slope_ratio: float, hi: float, hd: float) -> float:
-    """slope_ratio * expm1(hi) / expm1(hd) - 1, the RHR relative error at t
-    for slope_ratio = H_d'/H_i'."""
-    err = slope_ratio * expm1_ratio(hi, hd) - 1.0
-    if math.isinf(err):
-        raise ZeroDenominatorError(
-            f"rhr relative error exceeds the float range at t={t}"
-        )
-    return err
-
-
-# Per-point relative error at t from the hazards (H_d, H_d', H_i, H_i').
+# Per-point relative error from the hazards (H_d, H_d', H_i, H_i'); none
+# raises: inf beyond the float range, nan at inf/inf, 0/0 or a 0 divisor.
 _ERROR_FROM_HAZARDS = {
-    MetricKind.SF: lambda t, hd, dhd, hi, dhi: _sf_error(t, hi - hd),
-    MetricKind.FR: lambda t, hd, dhd, hi, dhi: dhd / dhi - 1.0,
-    MetricKind.RHR: lambda t, hd, dhd, hi, dhi: (
-        _rhr_error(t, dhd / dhi, hi, hd)
-    ),
-    MetricKind.AI: lambda t, hd, dhd, hi, dhi: (  # nan: dhi * hd underflows
+    MetricKind.SF: lambda hd, dhd, hi, dhi: _expm1(hi - hd),
+    MetricKind.FR: lambda hd, dhd, hi, dhi: dhd / dhi - 1.0 if dhi else math.nan,
+    MetricKind.RHR: lambda hd, dhd, hi, dhi: (
+        dhd / dhi * expm1_ratio(hi, hd) - 1.0 if dhi and hd else math.nan),
+    MetricKind.AI: lambda hd, dhd, hi, dhi: (
         (dhd * hi) / d - 1.0 if (d := dhi * hd) else math.nan),
 }
+
+
+def _defined(metric: MetricKind, t, err):
+    """err at t, floats or arrays, if finite: the one rule for an undefined
+    error.  A first inf raises ZeroDenominatorError, else a nan SingularityError."""
+    if math.isfinite(err) if isinstance(err, float) else np.isfinite(err).all():
+        return err
+    bad = _first_where(t, np.isinf(err))
+    if bad is not None:
+        raise ZeroDenominatorError(
+            f"{metric.value} relative error exceeds the float range at t={bad}")
+    bad = _first_where(t, err != err)
+    if bad is not None:
+        raise SingularityError(f"{metric.value} error meets inf/inf or 0/0 at t={bad}")
+    return err
 
 
 def relative_error(model: ValidatedModel, metric: MetricKind, t):
     """Generic relative error of the named series metric at time t.
 
     t is a float, giving a float, or a 1-D array, giving an array.  Where
-    the hazards give inf/inf (or 0 * inf) or 0/0, it raises SingularityError.
+    the independent metric is 0 or the error is inf, ZeroDenominatorError
+    names the first such t; where the hazards give inf/inf or 0/0, so does
+    SingularityError.
     """
-    metric = _metric_kind(metric)
-    t = _times(t)
-    indep = model._indep
-    h_ind, dh_ind = series_hazard(indep, t)
+    metric, t = _metric_kind(metric), _times(t)
+    h_ind, dh_ind = series_hazard(model._indep, t)
     # Evaluating the reference metric both enforces the domain checks and
     # surfaces an exact zero denominator before the stable combinator runs.
-    ref = _metric_values(metric, t, h_ind, dh_ind)
-    bad = _first_where(t, ref == 0.0)
+    bad = _first_where(t, _metric_values(metric, t, h_ind, dh_ind) == 0.0)
     if bad is not None:
         raise ZeroDenominatorError(
-            f"independent-counterpart {metric.value} is 0 at t={bad}"
-        )
+            f"independent-counterpart {metric.value} is 0 at t={bad}")
     h_dep, dh_dep = series_hazard(model, t)
-    err = each(_ERROR_FROM_HAZARDS[metric], t, h_dep, dh_dep, h_ind, dh_ind)
-    bad = _first_where(t, err != err)
-    if bad is not None:
-        raise SingularityError(
-            f"{metric.value} error meets inf/inf or 0/0 at t={bad}")
-    return err
+    return _defined(metric, t, each(
+        _ERROR_FROM_HAZARDS[metric], h_dep, dh_dep, h_ind, dh_ind))
 
 
 def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
@@ -111,60 +107,66 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     Each form is derived from the survival functions themselves as an
     algebraic rewrite of the generic combinator, which the test suite
     asserts.  t is a float, giving a float, or a 1-D array, giving an
-    array; powers and sums run over the whole array, and expm1 per point.
-    A float takes the float path of :func:`series_hazard`.  Where t, or
-    for MG1, MOMW and Crowder/LeeII the hazard the form reads, is inf, and
-    where the Crowder/LeeII singleton sum or the LeeML t**alpha is 0, the
-    error is the generic one.  The SF forms need no singleton rate.
+    array, whose powers and sums run quietly, with expm1 per point.  Where
+    t, or the hazard an MG1, MOMW or Crowder/LeeII form reads, is inf or
+    (Crowder/LeeII) 0, and where LeeML's t**alpha is 0, the error is the
+    generic one.  It is refused where inf or nan as relative_error's is.
     """
-    metric = _metric_kind(metric)
-    t = _times(t)
+    metric, t = _metric_kind(metric), _times(t)
+    if isinstance(t, float):  # a Python float division overflows quietly
+        err = _closed_form(model, metric, t)
+    else:
+        with np.errstate(over="ignore"):
+            err = _closed_form(model, metric, t)
+    return None if err is None else _defined(metric, t, err)
+
+
+def _closed_form(model: ValidatedModel, metric: MetricKind, t):
     fam = model.family
-    if model._is_product:
-        # A product model: no dependence, so the error is exactly 0, where
-        # the forms below could meet 0 * inf.
+    if model._is_product:  # no dependence: exactly 0, where a form may be nan
         return _fill(t, 0.0)
     if fam is Family.LU_BI or (
             fam is Family.MOMW and metric in (MetricKind.RHR, MetricKind.AI)):
         return None  # no closed form; use the generic combinator
     # The forms meet inf - inf and inf/inf where t or the hazard they read
-    # (for MOMW H_d >= H_i) is inf, and 0/0 where the Crowder/LeeII sum s
-    # or LeeML's x = t**alpha underflows to 0: the error is generic there.
+    # (for MOMW H_d >= H_i) is inf, and 0/0 where the Crowder/LeeII H_d or
+    # LeeML's x = t**alpha underflows to 0: the error is generic there.
     if fam in (Family.MG1, Family.MOMW):
         h, dh = series_hazard(model, t)
         edge = h == math.inf
     elif fam in (Family.CROWDER, Family.LEE_II):
         s, _ = series_hazard(model._indep, t)  # IndepWeibull
         h = power_gap(model.gamma, s, model.stable_exponent)  # H_d, or inf
-        edge = (h == math.inf) | (s == 0.0)
-    else:  # MOME and LeeML, whose forms read x = t or t**alpha
-        x = t
-        if fam is Family.LEE_ML:
+        edge = (h == math.inf) | (h == 0.0)
+    else:  # MOME and LeeML: H = lam * x on each side, x = t or t**alpha
+        if fam is Family.MOME:
+            x, lam = t, model.rates.total
+            s = float(model.rates.singleton_vector.sum())
+        else:
             with np.errstate(over="ignore"):  # t**alpha may be inf
                 x = np.power(t, model.alpha)
+            x = float(x) if isinstance(t, float) else x  # quiet: not np.float64
+            lam, s = model._lee_total, model._indep._lee_total
         edge = (t == math.inf) | (x == 0.0)
     if _first_where(t, edge) is not None:
         if isinstance(t, float):
             return relative_error(model, metric, t)
         return np.array([closed_form_error(model, metric, u) for u in t])
 
-    if fam is Family.MOME:
-        lam = model.rates.total
-        s = float(model.rates.singleton_vector.sum())
+    if fam in (Family.MOME, Family.LEE_ML):
         if metric is MetricKind.SF:
-            return each(_sf_error, t, -t * (lam - s))
+            return each(_expm1, -x * (lam - s))
         if s == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
             return _fill(t, (lam - s) / s)
         if metric is MetricKind.RHR:
-            return (lam / s) * each(expm1_ratio, s * t, lam * t) - 1.0
-        return _fill(t, 0.0)  # AI is identically 1 on both sides
-
+            return (lam / s) * each(expm1_ratio, s * x, lam * x) - 1.0
+        return _fill(t, 0.0)  # AI is 1, or LeeML's common shape, on both sides
     if fam is Family.MG1:
-        a1 = model.rates.size_totals[0]
+        a1 = float(model.rates.size_totals[0])  # quiet: not np.float64
         if metric is MetricKind.SF:
-            return each(_sf_error, t, a1 * t - h)
+            return each(_expm1, a1 * t - h)
         if a1 == 0.0:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
@@ -172,38 +174,22 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
         if metric is MetricKind.RHR:
             return (dh / a1) * each(expm1_ratio, a1 * t, h) - 1.0
         return t * dh / h - 1.0  # AI; independent side is 1
-
     if fam is Family.MOMW:
         s, ds = series_hazard(model._indep, t)
         if metric is MetricKind.SF:
-            return each(_sf_error, t, s - h)
+            return each(_expm1, s - h)
         if _first_where(t, ds == 0.0) is not None:
             raise ZeroDenominatorError("model has no singleton rates")
         return (dh - ds) / ds
-
-    if fam in (Family.CROWDER, Family.LEE_II):
-        if metric is MetricKind.SF:
-            return each(_sf_error, t, s - h)
-        g, ell = model.gamma, model.stable_exponent
-        slope = ell * (g + s) ** (ell - 1.0)
-        if metric is MetricKind.FR:
-            return slope - 1.0
-        if metric is MetricKind.RHR:
-            return each(_rhr_error, t, slope, s, h)
-        return slope * s / h - 1.0  # AI
-
-    if fam is Family.LEE_ML:
-        lam_l = model._lee_total
-        s = model._indep._lee_total
-        if metric is MetricKind.SF:
-            return each(_sf_error, t, -x * (lam_l - s))
-        if s == 0.0:
-            raise ZeroDenominatorError("model has no singleton rates")
-        if metric is MetricKind.FR:
-            return _fill(t, lam_l / s - 1.0)
-        if metric is MetricKind.RHR:
-            return (lam_l / s) * each(expm1_ratio, s * x, lam_l * x) - 1.0
-        return _fill(t, 0.0)  # AI is the common shape on both sides
+    if metric is MetricKind.SF:  # Crowder and LeeII
+        return each(_expm1, s - h)
+    g, ell = model.gamma, model.stable_exponent
+    slope = ell * (g + s) ** (ell - 1.0)
+    if metric is MetricKind.FR:
+        return slope - 1.0
+    if metric is MetricKind.RHR:
+        return slope * each(expm1_ratio, s, h) - 1.0
+    return slope * s / h - 1.0  # AI
 
 
 def lemma_g(beta: float, gamma: float, x: float) -> float:
@@ -232,12 +218,17 @@ def lemma_h(beta: float, gamma: float, alpha: float, x: float) -> float:
 
 
 class ErrorPoint(NamedTuple):
-    """One grid point of an error curve (a tuple: one is built per point)."""
+    """One grid point of an error curve (a tuple: one is built per point).
+
+    dep and indep are None where that side's metric is undefined (RHR and
+    AI where H <= 0, AI where H = inf); rel_err is None there too, and
+    where indep is 0 or the error is inf or nan.
+    """
 
     t: float
-    dep: float
-    indep: float
-    rel_err: float | None  # None: zero ref, out of range, inf/inf, 0/0
+    dep: float | None
+    indep: float | None
+    rel_err: float | None
 
 
 @dataclass(frozen=True)
@@ -251,27 +242,27 @@ def error_curve(
 ) -> ErrorCurve:
     """Pointwise relative error with the raw dependent/independent values.
 
-    rel_err is None where the independent value is 0, where an SF or RHR
-    error exceeds the float range, and where the hazards give inf/inf or 0/0.
+    A value that :func:`series_metric` or :func:`relative_error` refuses
+    is None in its :class:`ErrorPoint`, not raised.
     """
     metric = MetricKind(metric)
     pts = grid_points(grid, minimum=1)
-    indep = model._indep
-    h_dep, dh_dep = series_hazard(model, pts)
-    h_ind, dh_ind = series_hazard(indep, pts)
+    sides = series_hazard(model, pts), series_hazard(model._indep, pts)
+    if metric in (MetricKind.RHR, MetricKind.AI):
+        # A side's metric is undefined where H <= 0, and AI's where H = inf:
+        # nan hazards there read nan below, quietly, and spare expm1_ratio
+        # the expm1(0) = 0 it would divide by.
+        top = math.inf if metric is MetricKind.RHR else np.finfo(float).max
+        sides = [[np.where((h > 0.0) & (h <= top), x, math.nan) for x in (h, dh)]
+                 for h, dh in sides]
+    (h_dep, dh_dep), (h_ind, dh_ind) = sides
     dep = _metric_values(metric, pts, h_dep, dh_dep).tolist()
     ind = _metric_values(metric, pts, h_ind, dh_ind).tolist()
-    error = _ERROR_FROM_HAZARDS[metric]
-    hazards = zip(h_dep.tolist(), dh_dep.tolist(), h_ind.tolist(),
-                  dh_ind.tolist())
-    out = []
-    for t, dep_val, ind_val, hz in zip(pts.tolist(), dep, ind, hazards):
-        try:
-            rel = error(t, *hz) if ind_val != 0.0 else None
-        except ZeroDenominatorError:
-            rel = None
-        out.append(ErrorPoint(t, dep_val, ind_val, rel if rel == rel else None))
-    return ErrorCurve(metric=metric, points=tuple(out))
+    err = each(_ERROR_FROM_HAZARDS[metric], h_dep, dh_dep, h_ind, dh_ind)
+    return ErrorCurve(metric=metric, points=tuple(
+        ErrorPoint(t, d if d == d else None, i if i == i else None,
+                   e if i != 0.0 and math.isfinite(e) else None)
+        for t, d, i, e in zip(pts.tolist(), dep, ind, err.tolist())))
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,45 @@ class TestOutput:
         assert rows[1][4] == "" and rows[1][5] == ""
         assert 0.0 < float(rows[1][3]) < 1e-300  # subnormal reference
 
+    def test_errors_fr_beyond_float_range_is_blank(self, tmp_path):
+        # H_d'/H_i' - 1 is inf at t = 4.5e-6: it was written as inf, and
+        # the closed form's array division warned (a traceback under -W)
+        data = base_config(
+            tmp_path, family="MOMW", command="errors", metric="fr",
+            rates=[{"subset": [1], "lambda": 1.0},
+                   {"subset": [1, 2], "lambda": 0.5}],
+            shapes=[60.0, 0.5],
+            grid={"start": 4.5e-6, "stop": 1e-5, "count": 2,
+                  "spacing": "linear"},
+        )
+        rows = [line.split(",")
+                for line in self.run_csv(tmp_path, data).splitlines()[1:]]
+        assert rows[0][4:] == ["", ""]
+        assert rows[1][4] == rows[1][5] == "1.3176156917368182e+295"
+
+    @pytest.mark.parametrize("metric", ["rhr", "ai"])
+    def test_errors_underflowed_hazard_is_blank(self, tmp_path, capsys,
+                                                metric):
+        # both series hazards underflow to 0 at t = 1e-6: the command
+        # exited 3 and wrote no row; `eval` still refuses that point
+        data = base_config(
+            tmp_path, family="MOMW", command="errors", metric=metric,
+            rates=[{"subset": [1], "lambda": 1.0},
+                   {"subset": [2], "lambda": 1.0},
+                   {"subset": [1, 2], "lambda": 0.5}],
+            shapes=[60.0, 60.0],
+            grid={"start": 1e-6, "stop": 1e-3, "count": 4, "spacing": "log"},
+        )
+        rows = [line.split(",")
+                for line in self.run_csv(tmp_path, data).splitlines()[1:]]
+        assert float(rows[0][0]) == 1e-6
+        assert rows[0][1:] == [metric, "", "", "", ""]
+        assert all(row[2] and row[3] for row in rows[1:])
+        path = write_config(tmp_path, "eval.json", data)
+        assert main(["eval", "--model", str(path)]) == EXIT_DOMAIN
+        assert ("survival is 1 to machine precision at t=1e-06"
+                in capsys.readouterr().err)
+
     def test_errors_ai_zero_over_zero_is_blank(self, tmp_path):
         # H_i' * H_d underflows to 0 at t = 1e-6: the command exited 3
         # ("float arithmetic failed") and wrote no row

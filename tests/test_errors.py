@@ -17,6 +17,7 @@ from deperr import (
     classify_aging,
     closed_form_error,
     error_curve,
+    independent_counterpart,
     lemma_g,
     lemma_h,
     relative_error,
@@ -163,6 +164,16 @@ class TestClosedForms:
                       scales=(1.0, 2.0))
         )
         assert closed_form_error(m, MetricKind.SF, 2.0) == 0.0
+
+    def test_lee_ml_fr_is_the_excess_over_the_singletons(self):
+        # (lam - s) / s, as for MOME: lam / s - 1 is an ulp away here
+        m = validate_model(ModelSpec("LeeML", 2, {(1,): 0.3, (2,): 0.4,
+                                                  (1, 2): 0.1},
+                                     alpha=1.5, scales=(1.0, 1.01)))
+        lam, s = m._lee_total, m._indep._lee_total
+        assert closed_form_error(m, MetricKind.FR, 2.0) == (lam - s) / s
+        assert closed_form_error(m, MetricKind.FR, np.array([0.5, 2.0])
+                                 ).tolist() == [(lam - s) / s] * 2
 
     @pytest.mark.parametrize("spec,t", [
         (ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5}, alpha=1e300,
@@ -480,3 +491,75 @@ class TestArrays:
         points = error_curve(m, MetricKind.RHR, [360.0, 370.0]).points
         assert points[0].rel_err is not None
         assert points[1].rel_err is None and points[1].indep > 0.0
+
+    def test_fr_error_beyond_float_range(self):
+        # H_i' = 2.1e-314 at t = 4.5e-6: H_d'/H_i' - 1 is inf, which both
+        # functions returned and the array closed form's division warned of;
+        # FR and AI are refused there as SF and RHR are
+        m = validate_model(ModelSpec("MOMW", 2, {(1,): 1.0, (1, 2): 0.5},
+                                     shapes=(60.0, 0.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (relative_error, closed_form_error):
+                for t in (4.5e-6, np.array([1e-5, 4.5e-6])):
+                    with pytest.raises(ZeroDenominatorError,
+                                       match="fr relative error exceeds the "
+                                             "float range at t=4.5e-06"):
+                        fn(m, MetricKind.FR, t)
+            points = error_curve(m, MetricKind.FR, [4.5e-6, 1e-5]).points
+        assert [p.rel_err for p in points] == [None, 1.3176156917368182e+295]
+
+    def test_float_forms_overflow_quietly(self):
+        # MG1's a_1 and LeeML's t**alpha were numpy scalars, so a float t
+        # warned where a form overflows, as an array did
+        mg1 = validate_model(ModelSpec("MG1", 2, {(1,): 1e-300, (2,): 1e-300,
+                                                  (1, 2): 1.0}))
+        lee = validate_model(ModelSpec("LeeML", 2, {(1,): 1.0, (2,): 1.0,
+                                                    (1, 2): 5.0},
+                                       alpha=1.0, scales=(1.0, 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e9, np.array([1.0, 1e9])):
+                with pytest.raises(ZeroDenominatorError, match="t=1000000000.0"):
+                    closed_form_error(mg1, MetricKind.FR, t)
+            assert closed_form_error(lee, MetricKind.SF, 1e308) == -1.0
+
+    def test_underflowed_crowder_hazard_is_singular(self):
+        # H_d = (gamma + s)**0.5 - gamma**0.5 underflows to 0 at t = 1e-200
+        # (s = 2e-200): RHR divided by expm1(0) and the AI form by H_d, a
+        # bare ZeroDivisionError, or a warning on an array
+        m = validate_model(ModelSpec(
+            "Crowder", 2, {(1,): 1.0, (2,): 1.0}, shapes=(1.0, 1.0),
+            gamma=1e300, stable_exponent=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, metric in itertools.product(
+                    (relative_error, closed_form_error),
+                    (MetricKind.RHR, MetricKind.AI)):
+                for t in (1e-200, np.array([1.0, 1e-200])):
+                    with pytest.raises(SingularityError, match="t=1e-200"):
+                        fn(m, metric, t)
+
+    @pytest.mark.parametrize("metric", [MetricKind.RHR, MetricKind.AI])
+    def test_error_curve_blanks_an_underflowed_hazard(self, metric):
+        # both series hazards underflow to 0 at t = 1e-6, where RHR and AI
+        # are undefined: the whole curve raised there, and wrote no point
+        m = validate_model(ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 1.0,
+                                                 (1, 2): 0.5},
+                                     shapes=(60.0, 60.0)))
+        undefined = ("survival is 1 to machine precision at t=1e-06; "
+                     f"{metric.value} undefined")
+        for fn in (series_metric, relative_error):
+            with pytest.raises(SingularityError, match=undefined):
+                fn(m, metric, 1e-6)
+        points = error_curve(m, metric, np.geomspace(1e-6, 1e-3, 4)).points
+        assert points[0] == (1e-6, None, None, None)
+        indep = independent_counterpart(m)
+        for p in points[1:]:
+            t = np.array([p.t])
+            assert p.dep == series_metric(m, metric, t)[0]
+            assert p.indep == series_metric(indep, metric, t)[0]
+            try:
+                assert p.rel_err == relative_error(m, metric, t)[0]
+            except SingularityError:  # AI: H_i' * H_d underflows, 0/0
+                assert p.rel_err is None
