@@ -108,9 +108,9 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     algebraic rewrite of the generic combinator, which the test suite
     asserts.  t is a float, giving a float, or a 1-D array, giving an
     array, whose powers and sums run quietly, with expm1 per point.  Where
-    t, or the hazard an MG1, MOMW or Crowder/LeeII form reads, is inf or
-    (Crowder/LeeII) 0, and where LeeML's t**alpha is 0, the error is the
-    generic one.  It is refused where inf or nan as relative_error's is.
+    t, or the hazard a form reads (lam * x for the MOME and LeeML RHR), is
+    inf or (Crowder/LeeII) 0, and where LeeML's t**alpha is 0, the error is
+    the generic one.  It is refused where inf or nan as relative_error's is.
     """
     metric, t = _metric_kind(metric), _times(t)
     if isinstance(t, float):  # a Python float division overflows quietly
@@ -129,8 +129,8 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
             fam is Family.MOMW and metric in (MetricKind.RHR, MetricKind.AI)):
         return None  # no closed form; use the generic combinator
     # The forms meet inf - inf and inf/inf where t or the hazard they read
-    # (for MOMW H_d >= H_i) is inf, and 0/0 where the Crowder/LeeII H_d or
-    # LeeML's x = t**alpha underflows to 0: the error is generic there.
+    # (MOMW's H_d >= H_i, the MOME/LeeML RHR's lam * x) is inf, and 0/0 where
+    # the Crowder/LeeII H_d or LeeML's x = t**alpha is 0: generic there.
     if fam in (Family.MG1, Family.MOMW):
         h, dh = series_hazard(model, t)
         edge = h == math.inf
@@ -147,7 +147,8 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
                 x = np.power(t, model.alpha)
             x = float(x) if isinstance(t, float) else x  # quiet: not np.float64
             lam, s = model._lee_total, model._indep._lee_total
-        edge = (t == math.inf) | (x == 0.0)
+        edge = ((t == math.inf) | (x == 0.0)  # RHR: expm1_ratio(inf, inf) is 1
+                | (metric is MetricKind.RHR) & (lam * x == math.inf))
     if _first_where(t, edge) is not None:
         if isinstance(t, float):
             return relative_error(model, metric, t)

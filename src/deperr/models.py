@@ -60,8 +60,12 @@ def _metric_kind(metric) -> MetricKind:
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
-    """0-based component indices contained in a bitmask subset."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """0-based component indices in a bitmask subset, lowest set bit first."""
+    members = []
+    while mask:
+        members.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(members)
 
 
 def subset_to_mask(subset: Iterable[int], n: int) -> int:
@@ -478,9 +482,11 @@ def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc):
 
 
 def _masked(members, v: np.ndarray) -> np.ndarray:
-    """v, or the (k, n) batch of v at the members and 0 elsewhere; by
-    selection, as a power may be inf and 0 * inf is nan."""
-    return v if members is None else np.where(members, v, 0.0)
+    """v, or the (k, n) batch of v at the members and 0 elsewhere, by
+    selection or gathered at an index table: a power may be inf, 0 * inf nan."""
+    if members is None or members.dtype == bool:
+        return v if members is None else np.where(members, v, 0.0)
+    return np.append(v, 0.0)[members]
 
 
 def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
@@ -488,10 +494,10 @@ def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
 
     `x` is one point of shape (n,), giving a numpy float, or a batch of
     shape (k, n), giving a (k,) array.  With `members`, a boolean (k, n)
-    array, `x` is one point t * 1 and the batch is t * 1_S per row S: each
-    component's power is taken once, not once per row.  A power, sum or
-    product beyond the float range is inf, quietly, and so is the hazard
-    at an inf coordinate of a component that fails in finite time.
+    array or `parallel._mask_chunk`'s index table, `x` is one point t * 1
+    and the batch is t * 1_S per row S, each power taken once.  A power,
+    sum or product beyond the float range is inf, quietly, and so is the
+    hazard at an inf coordinate of a component that fails in finite time.
     """
     fam = model.family
     rates = model.rates
@@ -708,7 +714,11 @@ def _metric_values(metric: MetricKind, t, h, dh):
             raise SingularityError(
                 f"cumulative hazard is inf at t={bad}; ai is inf/inf there"
             )
-        return t * dh / h
+        if isinstance(h, np.ndarray):  # t * H' past the float range: t * (H'/H)
+            with np.errstate(over="ignore"):
+                td = t * dh
+                return np.where(td < math.inf, td / h, t * (dh / h))
+        return t * dh / h if t * dh < math.inf else t * (dh / h)
     return each(_rhr_value, h, dh)
 
 

@@ -5,11 +5,14 @@ subsets S of the joint survival evaluated with t at the members of S and 0
 elsewhere.  Subsets are handled as integer bitmasks, in fixed-size chunks:
 each chunk's points t * 1_S go through the joint-hazard kernel as one
 (chunk, n) batch, so a pass's temporaries stay at one chunk whatever n
-is.  A chunk's masks, signs and member rows depend on n only: every pass
-shares them from a read-only cache of 16 chunks (2.6 MB at n = 24).  Compact
-closed forms exist for the independent exponential, Marshall-Olkin
-exponential, and product-interaction exponential families and are checked
-against the inclusion-exclusion value wherever available.
+is.  A chunk's masks, signs and member indices depend on n only: every pass
+shares them from a read-only cache of 16 chunks (13.6 MB at n = 24).
+
+Compact forms, the families' own algebra apart from the kernel, check that
+value.  IndepExp and MOME with r <= max(n - 3, 0) interaction shocks (rated
+subsets of size >= 2) condition on them (Marshall and Olkin 1967): at most
+2^r states, no cancellation.  MG1, and the rest, sum over the subsets with
+one incidence product per chunk.  Other families have none.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from .numerics import clamp_unit
 
 # Subset masks per chunk: each (chunk, n) temporary is under 1 MB at n = 24.
 _CHUNK = 4096
+# Rated subsets per incidence block: a (block, chunk) temporary is 8 MB.
+_SHOCKS = 256
 
 
 @dataclass(frozen=True)
@@ -70,17 +74,26 @@ def _mask_chunk(n: int, start: int) -> tuple[np.ndarray, ...]:
     that begins at mask `start`, read-only: every pass at n shares them.
 
     signs[j] is the inclusion-exclusion sign (-1)^(|S| + 1) of masks[j],
-    and members[j] its boolean row 1_S.
+    and members[j] its `_masked` index row: i at a member i of S, else n.
     """
     masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
     parity = masks.copy()
     for shift in (16, 8, 4, 2, 1):  # xor-fold the bits: n <= 24 < 32
         parity ^= parity >> shift
-    members = (masks[:, None] & (1 << np.arange(n, dtype=np.int64))) != 0
+    bits = np.arange(n, dtype=np.intp)
+    members = np.where(masks[:, None] >> bits & 1 == 1, bits, n)
     tables = masks, np.where(parity & 1, 1.0, -1.0), members
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _alternating_sum(n: int, term) -> float:
+    """fsum of signs * term(masks, members) over the chunks at n, clamped
+    to [0, 1]: exactly rounded, one chunk's terms in memory at a time."""
+    chunks = (_mask_chunk(n, start) for start in range(1, 1 << n, _CHUNK))
+    return clamp_unit(math.fsum(chain.from_iterable(
+        (signs * term(masks, members)).tolist() for masks, signs, members in chunks)))
 
 
 def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
@@ -90,16 +103,14 @@ def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
     kappa = len(model.rates.items) + model.n + 2
     weighted: list[float] = []  # per chunk, sum of term_S * (3 + kappa * H_S)
 
-    def chunk_terms() -> Iterator[list[float]]:
-        for start in range(1, 1 << model.n, _CHUNK):
-            _, signs, members = _mask_chunk(model.n, start)
-            hazard = _joint_hazard(model, np.full(model.n, t), members)
-            sf = np.minimum(np.exp(-hazard), 1.0)
-            weight = 3.0 + kappa * np.where(sf > 0.0, hazard, 0.0)
-            weighted.append(float(np.dot(sf, weight)))
-            yield (signs * sf).tolist()
+    def terms(masks, members) -> np.ndarray:
+        hazard = _joint_hazard(model, np.full(model.n, t), members)
+        sf = np.minimum(np.exp(-hazard), 1.0)
+        weight = 3.0 + kappa * np.where(sf > 0.0, hazard, 0.0)
+        weighted.append(float(np.dot(sf, weight)))
+        return sf
 
-    value = clamp_unit(math.fsum(chain.from_iterable(chunk_terms())))
+    value = _alternating_sum(model.n, terms)
     return value, 0.5 * sys.float_info.epsilon * math.fsum(weighted)
 
 
@@ -119,56 +130,70 @@ def _product_sf(model: ValidatedModel, t: float) -> float:
 def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
     """Inclusion-exclusion parallel survival P(max_i X_i > t)."""
     value, bound = _ie_sum(model, t)
-    return ParallelResult(
-        t=t,
-        sf_ie=value,
-        sf_closed=parallel_sf_closed(model, t),
-        terms_evaluated=(1 << model.n) - 1,
-        error_bound=bound,
-    )
+    return ParallelResult(t=t, sf_ie=value, sf_closed=parallel_sf_closed(model, t),
+                          terms_evaluated=(1 << model.n) - 1, error_bound=bound)
 
 
 def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
-    """Compact parallel survival where the family has one, else None.
-
-    Each subset S of surviving candidates contributes exp(-E_S) with
-    E_S the joint hazard restricted to S:
-
-    - independent exponential: E_S = t * sum of member rates;
-    - Marshall-Olkin exponential: E_S = t * sum of lambda_T over shock
-      subsets T meeting S (the independent case has singletons only);
-    - product-interaction exponential: E_S = sum over nonempty T within S
-      of lambda_T * t^|T|.
-
-    This is the families' own algebra over bitmasks, kept apart from the
-    joint-hazard kernel so that it checks the inclusion-exclusion value.
-    """
+    """Compact parallel survival where the family has one, else None; the
+    choice of form is the module docstring's."""
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
     fam = model.family
     if fam not in (Family.INDEP_EXP, Family.MOME, Family.MG1):
         return None
-    shocks = [mask for mask, _ in model.rates.items]
-    rates = model.rates.rate_array
-    inside_only = fam is Family.MG1
-    if inside_only:  # numpy's t**|T| past the float range is inf: term 0
+    shocks = [(mask, rate) for mask, rate in model.rates.items if mask & (mask - 1)]
+    if fam is Family.MG1 or len(shocks) > max(model.n - 3, 0):
+        return _incidence_sf(model, t)
+    return _conditioned_sf(model, shocks, t)
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x > 0 (Maechler 2012), -0.0 at x = inf."""
+    return (math.log(-math.expm1(-x)) if x <= math.log(2.0)
+            else math.log1p(-math.exp(-x)))
+
+
+def _conditioned_sf(model: ValidatedModel, shocks, t: float) -> float:
+    """fsum over the sets D that the interaction `shocks` killed by t of
+    P(D) * -expm1(sum_{i not in D} log q_i), q_i = -expm1(-lambda_i * t) the
+    chance that i failed by itself (-inf where lambda_i = 0): terms >= 0.
+    A dict over the shocks, each fired independently, holds P(D)."""
+    killed = {0: 1.0}
+    for shock, rate in shocks:
+        fire, stay = -math.expm1(-rate * t), math.exp(-rate * t)
+        grown: dict[int, float] = {}
+        for dead, p in killed.items():
+            grown[dead] = grown.get(dead, 0.0) + p * stay
+            grown[dead | shock] = grown.get(dead | shock, 0.0) + p * fire
+        killed = grown
+    log_q = [_log1mexp(lam * t) if lam else -math.inf
+             for lam in model.rates.singleton_vector.tolist()]
+    dead = np.array(list(killed), np.int64)[:, None] >> np.arange(model.n) & 1
+    log_alive = np.where(dead == 0, log_q, 0.0).sum(axis=1)
+    return clamp_unit(math.fsum(p * -math.expm1(s) for p, s in
+                                zip(killed.values(), log_alive.tolist())))
+
+
+def _incidence_sf(model: ValidatedModel, t: float) -> float:
+    """Alternating sum over subsets S of exp(-E_S), E_S = sum of weights
+    lambda_T * t over rated T meeting S (IndepExp, MOME), or lambda_T * t^|T|
+    over T within S (MG1), each at most the float max so that a 0 of the
+    (subsets, chunk) incidence never meets inf; `_SHOCKS` subsets a block."""
+    mg1 = model.family is Family.MG1
+    shocks = np.array([mask for mask, _ in model.rates.items], np.int64)
+    power = np.array([s.bit_count() for s in shocks.tolist()]) if mg1 else 1
+    with np.errstate(over="ignore"):
+        weights = np.minimum(model.rates.rate_array * t**power, sys.float_info.max)
+    blocks = [(shocks[j:j + _SHOCKS, None], weights[j:j + _SHOCKS])
+              for j in range(0, len(shocks), _SHOCKS)]
+
+    def survival(masks, _) -> np.ndarray:
         with np.errstate(over="ignore"):
-            rates = rates * t ** np.array([s.bit_count() for s in shocks], float)
-    rates = rates.tolist()
+            return np.exp(-sum(w @ ((s & masks == s) if mg1 else (s & masks != 0))
+                               for s, w in blocks))
 
-    def chunk_terms() -> Iterator[list[float]]:
-        for start in range(1, 1 << model.n, _CHUNK):
-            masks, signs, _ = _mask_chunk(model.n, start)
-            exponent = np.zeros(len(masks))
-            for shock, rate in zip(shocks, rates):
-                common = masks & shock
-                acts = common == shock if inside_only else common != 0
-                np.add(exponent, rate, out=exponent, where=acts)
-            if not inside_only:  # a subset that never fails has exp(-0) at inf
-                np.multiply(exponent, t, out=exponent, where=exponent != 0)
-            yield (signs * np.exp(-exponent)).tolist()
-
-    return clamp_unit(math.fsum(chain.from_iterable(chunk_terms())))
+    return _alternating_sum(model.n, survival)
 
 
 def _relative_to_independent(model: ValidatedModel, dep: float,

@@ -563,3 +563,23 @@ class TestArrays:
                 assert p.rel_err == relative_error(m, metric, t)[0]
             except SingularityError:  # AI: H_i' * H_d underflows, 0/0
                 assert p.rel_err is None
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("MOME", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 5.0}),
+    ModelSpec("LeeML", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 5.0}, alpha=1.0,
+              scales=(1.0, 1.0)),
+])
+def test_closed_rhr_where_the_hazard_overflows_is_generic(spec):
+    # lam * x overflows at 1e308: expm1_ratio(inf, inf) is 1, so the form
+    # gave lam / s - 1 = 2.5; the error tends to -1 and the generic one is
+    # refused there, as the independent RHR is 0
+    m = validate_model(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert closed_form_error(m, "rhr", 1e300) == pytest.approx(-1.0)
+        for t in (1e308, np.array([1.0, 1e308])):
+            with pytest.raises(ZeroDenominatorError, match="t=1e"):
+                relative_error(m, "rhr", t)
+            with pytest.raises(ZeroDenominatorError, match="t=1e"):
+                closed_form_error(m, "rhr", t)

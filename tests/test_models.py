@@ -24,7 +24,7 @@ from deperr import (
     series_metric,
     validate_model,
 )
-from deperr.models import _joint_hazard
+from deperr.models import _joint_hazard, mask_members, mask_to_subset
 from deperr.simulate import finite_diff_metric
 
 from conftest import ALL_FAMILIES, random_model
@@ -587,3 +587,24 @@ def test_tiny_gamma_gap_is_finite():
             assert (sf, ai) == pytest.approx((math.exp(-10.0), 0.1), rel=1e-13)
         assert joint_sf(m, [1e10]) == pytest.approx(math.exp(-10.0), rel=1e-13)
         assert closed_form_error(m, "ai", 1e10) == pytest.approx(-0.9, rel=1e-13)
+
+
+def test_ai_where_t_times_hazard_slope_overflows():
+    # t * H' = 2 * t**2 overflows at t = 1.26e154 while H = t**2 does not:
+    # AI is t * (H' / H) there, the shape 2, not inf
+    m = validate_model(ModelSpec("IndepWeibull", 1, {(1,): 1.0}, shapes=(2.0,)))
+    t = np.array([0.5, 1.26e154, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert series_metric(m, "ai", 1.26e154) == pytest.approx(2.0, rel=1e-15)
+        ai = series_metric(m, "ai", t)
+    assert ai == pytest.approx([2.0, 2.0, 2.0], rel=1e-15)
+    assert ai[0] == 0.5 * series_hazard(m, 0.5)[1] / series_hazard(m, 0.5)[0]
+
+
+def test_mask_members_are_the_set_bits_in_order():
+    for mask in [*range(1, 1 << 12), (1 << 24) - 1, 1 << 23, 0b1010 << 20]:
+        expected = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        assert mask_members(mask) == expected
+        assert mask_to_subset(mask) == tuple(i + 1 for i in expected)
+    assert mask_members(0) == ()

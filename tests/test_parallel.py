@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from deperr import (
     validate_model,
 )
 from deperr.models import _joint_hazard
-from deperr.parallel import _CHUNK, _ie_sum, _mask_chunk, _product_sf
+from deperr.parallel import (
+    _CHUNK,
+    _conditioned_sf,
+    _ie_sum,
+    _incidence_sf,
+    _mask_chunk,
+    _product_sf,
+)
 
 from conftest import ALL_FAMILIES, random_model
 
@@ -348,9 +357,13 @@ def test_mask_chunks_cover_every_subset_once(n):
     masks, signs, members = (np.concatenate(parts) for parts in
                              zip(*(_mask_chunk(n, s) for s in starts)))
     assert masks.tolist() == list(range(1, 1 << n))
-    sizes = members.sum(axis=1)
+    assert members.dtype == np.intp and members.flags.c_contiguous
+    inside = members < n
+    sizes = inside.sum(axis=1)
     assert (sizes == [m.bit_count() for m in masks.tolist()]).all()
-    assert (members == (masks[:, None] >> np.arange(n) & 1).astype(bool)).all()
+    assert (inside == (masks[:, None] >> np.arange(n) & 1).astype(bool)).all()
+    assert (members[inside] == np.nonzero(inside)[1]).all()
+    assert (members[~inside] == n).all()
     assert (signs == np.where(sizes % 2 == 1, 1.0, -1.0)).all()
 
 
@@ -390,3 +403,77 @@ def test_ie_same_bytes_when_n_interleaves():
     assert _ie_bytes(big) == first
     _mask_chunk.cache_clear()
     assert _ie_bytes(small) == small_first
+
+
+# ---------------------------------------------------------------------------
+# The compact column: shock conditioning and the incidence product
+# ---------------------------------------------------------------------------
+
+
+def _sparse_shock_model(family, n, rng):
+    """Singletons, up to three pair shocks and one global shock; for MOME
+    every third component has no singleton rate (the global shock covers
+    it).  IndepExp keeps its singletons only."""
+    rates = {(i,): float(rng.uniform(0.05, 1.5)) for i in range(1, n + 1)
+             if family == "IndepExp" or i % 3 or n == 1}
+    if family == "MOME" and n > 1:
+        for _ in range(3):
+            pair = tuple(sorted(rng.choice(np.arange(1, n + 1), 2,
+                                           replace=False).tolist()))
+            rates[pair] = float(rng.uniform(0.05, 1.5))
+        rates[tuple(range(1, n + 1))] = float(rng.uniform(0.02, 0.2))
+    return validate_model(ModelSpec(family, n, rates))
+
+
+def _interaction_shocks(model):
+    return [(mask, rate) for mask, rate in model.rates.items
+            if mask.bit_count() > 1]
+
+
+@pytest.mark.parametrize("family", ["IndepExp", "MOME"])
+def test_both_compact_forms_within_error_bound_of_ie(family, rng):
+    for n in range(1, 15):
+        m = _sparse_shock_model(family, n, rng)
+        for t in (1e-3, 0.5, 2.0, 50.0):
+            sf_ie, bound = _ie_sum(m, t)
+            for sf in (_conditioned_sf(m, _interaction_shocks(m), t),
+                       _incidence_sf(m, t)):
+                assert abs(sf - sf_ie) <= bound, (n, t, sf, sf_ie, bound)
+
+
+def test_dispatch_names_one_path_bit_for_bit(rng):
+    sparse = _sparse_shock_model("MOME", 9, rng)  # 4 shocks <= 9 - 3
+    dense = random_model("MOME", 6, rng)  # dozens of shocks
+    assert len(_interaction_shocks(dense)) > 6 - 3
+    for t in (0.3, 2.0):
+        assert parallel_sf_closed(sparse, t) == _conditioned_sf(
+            sparse, _interaction_shocks(sparse), t)
+        assert parallel_sf_closed(dense, t) == _incidence_sf(dense, t)
+
+
+@pytest.mark.parametrize("t", [1e300, 1e308, math.inf])
+def test_compact_forms_quiet_at_huge_t(t, rng):
+    # the incidence path took exponent * t, which overflowed with a warning
+    mome = validate_model(ModelSpec("MOME", 2, {(1,): 1.0, (1, 2): 1.0}))
+    sparse = _sparse_shock_model("MOME", 8, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, sf in ((mome, 0.0), (independent_counterpart(mome), 1.0),
+                      (sparse, 0.0), (independent_counterpart(sparse), 1.0),
+                      (_sparse_shock_model("IndepExp", 5, rng), 0.0)):
+            assert parallel_sf_closed(m, t) == sf
+            assert _conditioned_sf(m, _interaction_shocks(m), t) == sf
+            assert _incidence_sf(m, t) == sf
+
+
+def test_golden_compact_cell_is_correctly_rounded():
+    # IndepExp n = 2 at t = 2: 1 - (1 - e^-2)^2 = 2e^-2 - e^-4
+    golden = Path(__file__).parent / "data" / "golden" / "parallel_indep.csv"
+    row = golden.read_text().splitlines()[2].split(",")
+    assert row[0] == "2"
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e2 = Decimal(-2).exp()
+        exact = 2 * e2 - e2 * e2
+    cell = float(row[2])
+    assert abs(Decimal(cell) - exact) <= Decimal(math.ulp(cell)) / 2
