@@ -9,10 +9,11 @@ is.  A chunk's masks, signs and member indices depend on n only: every pass
 shares them from a read-only cache of 16 chunks (13.6 MB at n = 24).
 
 Compact forms, the families' own algebra apart from the kernel, check that
-value.  IndepExp and MOME with r <= max(n - 3, 0) interaction shocks (rated
-subsets of size >= 2) condition on them (Marshall and Olkin 1967): at most
-2^r states, no cancellation.  MG1, and the rest, sum over the subsets with
-one incidence product per chunk.  Other families have none.
+value.  IndepExp and MOME with r <= min(max(n - 3, 0), 13) interaction
+shocks (rated subsets of size >= 2) condition on them (Marshall and Olkin
+1967): at most 2^r states, a table under 2 MB, no cancellation.  The rule
+was timed at n <= 16 only.  MG1, and MOME with more shocks, sum over the
+subsets with one incidence product per chunk.  Other families have none.
 """
 
 from __future__ import annotations
@@ -130,8 +131,13 @@ def _product_sf(model: ValidatedModel, t: float) -> float:
 def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
     """Inclusion-exclusion parallel survival P(max_i X_i > t)."""
     value, bound = _ie_sum(model, t)
-    return ParallelResult(t=t, sf_ie=value, sf_closed=parallel_sf_closed(model, t),
-                          terms_evaluated=(1 << model.n) - 1, error_bound=bound)
+    return ParallelResult(
+        t=t,
+        sf_ie=value,
+        sf_closed=parallel_sf_closed(model, t),
+        terms_evaluated=(1 << model.n) - 1,
+        error_bound=bound,
+    )
 
 
 def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
@@ -143,7 +149,7 @@ def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
     if fam not in (Family.INDEP_EXP, Family.MOME, Family.MG1):
         return None
     shocks = [(mask, rate) for mask, rate in model.rates.items if mask & (mask - 1)]
-    if fam is Family.MG1 or len(shocks) > max(model.n - 3, 0):
+    if fam is Family.MG1 or len(shocks) > min(max(model.n - 3, 0), 13):
         return _incidence_sf(model, t)
     return _conditioned_sf(model, shocks, t)
 
@@ -157,8 +163,8 @@ def _log1mexp(x: float) -> float:
 def _conditioned_sf(model: ValidatedModel, shocks, t: float) -> float:
     """fsum over the sets D that the interaction `shocks` killed by t of
     P(D) * -expm1(sum_{i not in D} log q_i), q_i = -expm1(-lambda_i * t) the
-    chance that i failed by itself (-inf where lambda_i = 0): terms >= 0.
-    A dict over the shocks, each fired independently, holds P(D)."""
+    chance that i failed by itself, log q_i = -inf where lambda_i * t is 0
+    or 0 * inf: terms >= 0.  A dict over the shocks holds P(D)."""
     killed = {0: 1.0}
     for shock, rate in shocks:
         fire, stay = -math.expm1(-rate * t), math.exp(-rate * t)
@@ -167,7 +173,7 @@ def _conditioned_sf(model: ValidatedModel, shocks, t: float) -> float:
             grown[dead] = grown.get(dead, 0.0) + p * stay
             grown[dead | shock] = grown.get(dead | shock, 0.0) + p * fire
         killed = grown
-    log_q = [_log1mexp(lam * t) if lam else -math.inf
+    log_q = [_log1mexp(lam * t) if lam * t > 0 else -math.inf
              for lam in model.rates.singleton_vector.tolist()]
     dead = np.array(list(killed), np.int64)[:, None] >> np.arange(model.n) & 1
     log_alive = np.where(dead == 0, log_q, 0.0).sum(axis=1)
@@ -177,7 +183,7 @@ def _conditioned_sf(model: ValidatedModel, shocks, t: float) -> float:
 
 def _incidence_sf(model: ValidatedModel, t: float) -> float:
     """Alternating sum over subsets S of exp(-E_S), E_S = sum of weights
-    lambda_T * t over rated T meeting S (IndepExp, MOME), or lambda_T * t^|T|
+    lambda_T * t over rated T meeting S (MOME), or lambda_T * t^|T|
     over T within S (MG1), each at most the float max so that a 0 of the
     (subsets, chunk) incidence never meets inf; `_SHOCKS` subsets a block."""
     mg1 = model.family is Family.MG1

@@ -10,6 +10,7 @@ import pytest
 
 from deperr import (
     DomainError,
+    Family,
     MetricKind,
     ModelSpec,
     independent_counterpart,
@@ -432,12 +433,16 @@ def _interaction_shocks(model):
 
 @pytest.mark.parametrize("family", ["IndepExp", "MOME"])
 def test_both_compact_forms_within_error_bound_of_ie(family, rng):
+    # IndepExp (r = 0) always conditions; only MG1 and dense MOME take
+    # the incidence product
     for n in range(1, 15):
         m = _sparse_shock_model(family, n, rng)
         for t in (1e-3, 0.5, 2.0, 50.0):
             sf_ie, bound = _ie_sum(m, t)
-            for sf in (_conditioned_sf(m, _interaction_shocks(m), t),
-                       _incidence_sf(m, t)):
+            forms = [_conditioned_sf(m, _interaction_shocks(m), t)]
+            if family == "MOME":
+                forms.append(_incidence_sf(m, t))
+            for sf in forms:
                 assert abs(sf - sf_ie) <= bound, (n, t, sf, sf_ie, bound)
 
 
@@ -449,6 +454,20 @@ def test_dispatch_names_one_path_bit_for_bit(rng):
         assert parallel_sf_closed(sparse, t) == _conditioned_sf(
             sparse, _interaction_shocks(sparse), t)
         assert parallel_sf_closed(dense, t) == _incidence_sf(dense, t)
+
+
+def test_conditioning_capped_at_13_shocks(monkeypatch):
+    # 21 pair shocks {1, i} at n = 24 reach 2^21 killed sets: above 13
+    # shocks the incidence product takes them, whatever n - 3 allows
+    def pairs(n, r):
+        rates = {(i,): 1.0 for i in range(1, n + 1)}
+        return validate_model(ModelSpec("MOME", n, {
+            **rates, **{(1, i): 0.1 for i in range(2, r + 2)}}))
+
+    monkeypatch.setattr("deperr.parallel._incidence_sf", lambda m, t: -1.0)
+    assert parallel_sf_closed(pairs(24, 21), 0.5) == -1.0
+    assert parallel_sf_closed(pairs(17, 14), 0.5) == -1.0
+    assert 0.0 < parallel_sf_closed(pairs(17, 13), 0.5) <= 1.0
 
 
 @pytest.mark.parametrize("t", [1e300, 1e308, math.inf])
@@ -463,7 +482,21 @@ def test_compact_forms_quiet_at_huge_t(t, rng):
                       (_sparse_shock_model("IndepExp", 5, rng), 0.0)):
             assert parallel_sf_closed(m, t) == sf
             assert _conditioned_sf(m, _interaction_shocks(m), t) == sf
-            assert _incidence_sf(m, t) == sf
+            if m.family is Family.MOME:
+                assert _incidence_sf(m, t) == sf
+
+
+def test_conditioned_form_at_tiny_t(rng):
+    # lambda_i * t underflows to 0: q_i = 0, log q_i = -inf, not log(0)
+    indep = validate_model(ModelSpec("IndepExp", 1, {(1,): 1e-300}))
+    sparse = _sparse_shock_model("MOME", 8, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, t in ((indep, 1e-30), (sparse, 5e-324),
+                     (independent_counterpart(sparse), 5e-324)):
+            sf_ie, bound = _ie_sum(m, t)
+            assert parallel_sf_closed(m, t) == 1.0
+            assert abs(1.0 - sf_ie) <= bound
 
 
 def test_golden_compact_cell_is_correctly_rounded():
