@@ -55,13 +55,18 @@ def _expm1(x: float) -> float:
 
 # Per-point relative error from the hazards (H_d, H_d', H_i, H_i'); none
 # raises: inf beyond the float range, nan at inf/inf, 0/0 or a 0 divisor.
+# AI takes the ratio of the ratios H'/H where a product is inf, all four
+# hazards are finite and > 0 and H_i'/H_i is not 0.
 _ERROR_FROM_HAZARDS = {
     MetricKind.SF: lambda hd, dhd, hi, dhi: _expm1(hi - hd),
     MetricKind.FR: lambda hd, dhd, hi, dhi: dhd / dhi - 1.0 if dhi else math.nan,
     MetricKind.RHR: lambda hd, dhd, hi, dhi: (
         dhd / dhi * expm1_ratio(hi, hd) - 1.0 if dhi and hd else math.nan),
     MetricKind.AI: lambda hd, dhd, hi, dhi: (
-        (dhd * hi) / d - 1.0 if (d := dhi * hd) else math.nan),
+        n / d - 1.0 if (n := dhd * hi) + (d := dhi * hd) < math.inf and d
+        else (dhd / hd) / r - 1.0 if math.inf in (n, d)
+        and all(0.0 < h < math.inf for h in (hd, dhd, hi, dhi)) and (r := dhi / hi)
+        else n / d - 1.0 if d else math.nan),
 }
 
 
@@ -141,7 +146,7 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
     else:  # MOME and LeeML: H = lam * x on each side, x = t or t**alpha
         if fam is Family.MOME:
             x, lam = t, model.rates.total
-            s = float(model.rates.singleton_vector.sum())
+            s = sum(model.rates.singleton_vector.tolist())  # Python floats: quiet
         else:
             with np.errstate(over="ignore"):  # t**alpha may be inf
                 x = np.power(t, model.alpha)
@@ -165,7 +170,7 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
             return (lam / s) * each(expm1_ratio, s * x, lam * x) - 1.0
         return _fill(t, 0.0)  # AI is 1, or LeeML's common shape, on both sides
     if fam is Family.MG1:
-        a1 = float(model.rates.size_totals[0])  # quiet: not np.float64
+        a1 = sum(model.rates.singleton_vector.tolist())  # Python floats: quiet
         if metric is MetricKind.SF:
             return each(_expm1, a1 * t - h)
         if a1 == 0.0:
@@ -174,7 +179,7 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
             return (dh - a1) / a1
         if metric is MetricKind.RHR:
             return (dh / a1) * each(expm1_ratio, a1 * t, h) - 1.0
-        return t * dh / h - 1.0  # AI; independent side is 1
+        return _metric_values(MetricKind.AI, t, h, dh) - 1.0  # AI_i is 1
     if fam is Family.MOMW:
         s, ds = series_hazard(model._indep, t)
         if metric is MetricKind.SF:

@@ -151,14 +151,6 @@ class SubsetRates:
         return None if vec.all() else np.flatnonzero(vec)
 
     @cached_property
-    def size_totals(self) -> np.ndarray:
-        """a_p = sum of lambda_S over |S| = p, for p = 1..n (index p-1)."""
-        vec = np.zeros(self.n)
-        for mask, rate in self.items:
-            vec[mask.bit_count() - 1] += rate
-        return vec
-
-    @cached_property
     def rate_array(self) -> np.ndarray:
         return np.array([rate for _, rate in self.items], dtype=float)
 
@@ -176,9 +168,9 @@ class SubsetRates:
         return np.array(flat, np.intp), np.cumsum(sizes) - sizes
 
     @cached_property
-    def interaction_members(self) -> tuple[tuple[np.ndarray, float], ...]:
-        """(0-based member indices, rate) of each rated subset of size >= 2."""
-        return tuple((np.array(members), rate) for members, (_, rate)
+    def interaction_members(self) -> tuple[tuple[int, np.ndarray, float], ...]:
+        """(mask, 0-based members, rate) of each rated subset of size >= 2."""
+        return tuple((mask, np.array(members), rate) for members, (mask, rate)
                      in zip(self.members, self.items) if len(members) > 1)
 
     def singletons_only(self) -> "SubsetRates":
@@ -475,52 +467,49 @@ def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc):
         return rates.rate_array @ (np.fmax(parts, 0.0) if product else parts)
     cols = v.T
     h = _singleton_dot(rates, v)
-    for members, rate in rates.interaction_members:
+    for _, members, rate in rates.interaction_members:
         part = reduce.reduce(cols[members], axis=0)
         h += rate * (np.fmax(part, 0.0, out=part) if product else part)
     return h
 
 
 def _masked(members, v: np.ndarray) -> np.ndarray:
-    """v, or the (k, n) batch of v at the members and 0 elsewhere, by
-    selection or gathered at an index table: a power may be inf, 0 * inf nan."""
-    if members is None or members.dtype == bool:
-        return v if members is None else np.where(members, v, 0.0)
-    return np.append(v, 0.0)[members]
+    """v, or the (k, n) batch of v at the members and 0 elsewhere, gathered
+    at an index table: a power may be inf, and 0 * inf is nan."""
+    return v if members is None else np.append(v, 0.0)[members]
+
+
+def _theta(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
+    """Per-coordinate theta_i(x_i), which the rates multiply: x, c_i**alpha *
+    x**alpha (LeeML) or x**a_i (Weibull); overflow per the caller's errstate."""
+    if model.family is Family.LEE_ML:
+        return model._scale_powers * x**model.alpha
+    return x if model.shapes is None else x**model._shape_vector
 
 
 def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
     """Joint cumulative hazard -ln F_bar(x_1,...,x_n).
 
     `x` is one point of shape (n,), giving a numpy float, or a batch of
-    shape (k, n), giving a (k,) array.  With `members`, a boolean (k, n)
-    array or `parallel._mask_chunk`'s index table, `x` is one point t * 1
-    and the batch is t * 1_S per row S, each power taken once.  A power,
-    sum or product beyond the float range is inf, quietly, and so is the
-    hazard at an inf coordinate of a component that fails in finite time.
+    shape (k, n), giving a (k,) array.  With `members`,
+    `parallel._mask_chunk`'s index table, `x` is one point t * 1 and the
+    batch is t * 1_S per row S, each power taken once.  A power, sum or
+    product beyond the float range is inf, quietly, and so is the hazard
+    at an inf coordinate of a component that fails in finite time.
     """
     fam = model.family
-    rates = model.rates
-    if fam is Family.MG1:  # a shock's product may be inf * 0: 0 there
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _shock_sum(rates, _masked(members, x), np.multiply)
-    with np.errstate(over="ignore"):
-        if fam in (Family.INDEP_EXP, Family.MOME):
-            v = x
-        elif fam is Family.LEE_ML:
-            v = model._scale_powers * x**model.alpha
-        else:  # Weibull
-            v = x**model._shape_vector
-        v = _masked(members, v)
-        if fam in (Family.MOME, Family.MOMW, Family.LEE_ML):
-            return _shock_sum(rates, v, np.maximum)
-        s = _singleton_dot(rates, v)
+    mg1 = fam is Family.MG1  # a shock's product may be inf * 0: 0 there
+    with np.errstate(over="ignore", invalid="ignore" if mg1 else None):
+        v = _masked(members, _theta(model, x))
+        if fam in (Family.MG1, Family.MOME, Family.MOMW, Family.LEE_ML):
+            return _shock_sum(model.rates, v, np.multiply if mg1 else np.maximum)
+        s = _singleton_dot(model.rates, v)
         if fam in (Family.CROWDER, Family.LEE_II):
             return power_gap(model.gamma, s, model.stable_exponent)
         if fam is not Family.LU_BI or model.delta == 0.0:
             return s  # LuBI's delta * u**m would be 0 * inf at a huge x
         mm = model.m
-        root = rates.singleton_vector ** (1.0 / mm)
+        root = model.rates.singleton_vector ** (1.0 / mm)
         u = _masked(members, x ** (model._shape_vector / mm)) @ root
         return s + model.delta * u**mm
 
@@ -600,34 +589,40 @@ def _power_sums(terms, t: float) -> tuple[float, float]:
 
 def _sums(model: ValidatedModel, t: np.ndarray) -> list:
     """`_power_sums` of each term table over a 1-D array t; a power beyond
-    the float range is inf, quietly, and t**(e - 1) at inf the limit."""
+    the float range is inf (quietly, in `series_hazard`), and t**(e - 1) at
+    inf the limit; an inf sum at a finite t is retaken in the float path's
+    order, as w < 1 may bring w * t**e back."""
     tc = t[:, None]
-    with np.errstate(over="ignore"):
-        return [(tc**e @ w, tc**e1 @ we) for w, e, e1, we in model._term_arrays]
+    sums = [(tc**e @ w, tc**e1 @ we) for w, e, e1, we in model._term_arrays]
+    for (s, _), (w, _, e1, _) in zip(sums, model._term_arrays):
+        if s.max() == math.inf:
+            far = (s == math.inf) & (t < math.inf)
+            s[far] = (tc[far] ** e1 @ w) * t[far]
+    return sums
 
 
 def _chain(t, base, ell: float, ds, table):
     """(base**ell, ell * base**(ell - 1) * ds) for a base that grows as the
     power sum of `table`, with derivative ds; on an array a value beyond the
-    float range is inf, quietly.  At t = inf the derivative is 0 * inf or
-    inf * 0: there it is the limit from the table's leading term (w, e),
-    ell * e * w**ell * t**(ell * e - 1), i.e. inf, ell * e * w**ell or 0 as
-    ell * e is >, = or < 1.  With ell < 1, a base that is 0 or inf at a
-    finite t, where base**ell may be finite, raises DomainError."""
+    float range is inf (quietly, in `series_hazard`).  At t = inf the
+    derivative is 0 * inf or inf * 0: there it is the limit from the table's
+    leading term (w, e), ell * e * w**ell * t**(ell * e - 1), i.e. inf,
+    ell * e * w**ell or 0 as ell * e is >, = or < 1.  With ell < 1, a base
+    that is 0 or inf at a finite t, where base**ell may be finite, raises
+    DomainError."""
     if isinstance(t, float):  # `series_hazard` retries an inf H or 0.0 ** -x
         return base**ell, ell * base ** (ell - 1.0) * ds
     edge = (base == 0.0) | (base == math.inf)  # t > 0, so base is > 0
     bad = _first_where(t, edge & (t < math.inf))
     if ell < 1.0 and bad is not None:
         raise DomainError(f"a power sum under a root is 0 or inf at t={bad}")
-    with np.errstate(over="ignore"):
-        if not (t == math.inf).any():
-            return base**ell, ell * base ** (ell - 1.0) * ds
-        w, e = max(table, key=lambda term: term[1])[:2]
-        out = np.full(t.shape, ell * e * w**ell * math.inf ** (ell * e - 1.0))
-        fin = t < math.inf
-        out[fin] = ell * base[fin] ** (ell - 1.0) * ds[fin]
-        return base**ell, out
+    if not (t == math.inf).any():
+        return base**ell, ell * base ** (ell - 1.0) * ds
+    w, e = max(table, key=lambda term: term[1])[:2]
+    out = np.full(t.shape, ell * e * w**ell * math.inf ** (ell * e - 1.0))
+    fin = t < math.inf
+    out[fin] = ell * base[fin] ** (ell - 1.0) * ds[fin]
+    return base**ell, out
 
 
 def series_hazard(model: ValidatedModel, t):
@@ -646,23 +641,24 @@ def series_hazard(model: ValidatedModel, t):
     LeeII, LuBI) raises DomainError.
     """
     t = _times(t)
-    if isinstance(t, np.ndarray):
-        return _kernel(model, t)
+    array = isinstance(t, np.ndarray)
     # Python's ** raises OverflowError, or ZeroDivisionError at 0.0 ** -x,
     # where numpy's gives inf quietly: a float retries those as an array.
-    if t < math.inf:
+    if not array and t < math.inf:
         try:
             h, dh = _kernel(model, t)
             if h + dh < math.inf:  # neither inf nor nan: nothing overflowed
                 return h, dh
         except (OverflowError, ZeroDivisionError):
             pass
-    h, dh = _kernel(model, np.array([t]))
-    return float(h[0]), float(dh[0])
+    with np.errstate(over="ignore"):  # the array path's one overflow rule
+        h, dh = _kernel(model, t if array else np.array([t]))
+    return (h, dh) if array else (float(h[0]), float(dh[0]))
 
 
 def _kernel(model: ValidatedModel, t):
-    """(H, H') at a checked float t < inf or 1-D array t."""
+    """(H, H') at a checked float t < inf or 1-D array t, an array under
+    `series_hazard`'s errstate."""
     fam, tables = model.family, model._term_tables
     array = isinstance(t, np.ndarray)
     if fam is Family.MOMW and not array:  # the table for t < 1 or t >= 1
@@ -727,7 +723,7 @@ def series_metric(model: ValidatedModel, metric: MetricKind, t):
 
     t is a float, giving a float, or a 1-D array, giving an array.
     """
-    metric = _metric_kind(metric)
+    metric, t = _metric_kind(metric), _times(t)  # a numpy scalar as a float
     return _metric_values(metric, t, *series_hazard(model, t))
 
 

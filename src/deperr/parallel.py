@@ -9,11 +9,12 @@ is.  A chunk's masks, signs and member indices depend on n only: every pass
 shares them from a read-only cache of 16 chunks (13.6 MB at n = 24).
 
 Compact forms, the families' own algebra apart from the kernel, check that
-value.  IndepExp and MOME with r <= min(max(n - 3, 0), 13) interaction
-shocks (rated subsets of size >= 2) condition on them (Marshall and Olkin
-1967): at most 2^r states, a table under 2 MB, no cancellation.  The rule
-was timed at n <= 16 only.  MG1, and MOME with more shocks, sum over the
-subsets with one incidence product per chunk.  Other families have none.
+value.  `_conditioned_sf` conditions on the r interaction shocks (rated
+subsets of size >= 2; Marshall and Olkin 1967): at most 2^r states, a table
+under 2 MB at r = 13, no cancellation.  It serves IndepExp, MOME with r <=
+min(max(n - 3, 0), 13) (a rule timed at n <= 16 only), and with r = 0 the
+independent side of every relative error, each counterpart a product model.
+MG1, and MOME with more shocks, sum over the subsets by incidence products.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .exceptions import DomainError, ZeroDenominatorError
-from .models import Family, ValidatedModel, _joint_hazard
+from .models import Family, ValidatedModel, _joint_hazard, _theta
 from .numerics import clamp_unit
 
 # Subset masks per chunk: each (chunk, n) temporary is under 1 MB at n = 24.
@@ -115,19 +116,6 @@ def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
     return value, 0.5 * sys.float_info.epsilon * math.fsum(weighted)
 
 
-def _product_sf(model: ValidatedModel, t: float) -> float:
-    """Parallel survival 1 - prod_i P(X_i <= t) of a product model, in O(n):
-    -expm1(sum_i log1p(-exp(-H_i))) (Maechler 2012) from one kernel call,
-    the singletons as subset batch.  No 2^n sum, so no cancellation.  At a
-    huge t or t = inf, H_i is inf, or 0 for a component with zero rate."""
-    n = model.n
-    q = np.exp(-_joint_hazard(model, np.full(n, t), np.eye(n, dtype=bool)))
-    with np.errstate(divide="ignore"):  # a component with zero rate: log1p(-1)
-        log_cdf = float(np.log1p(-q).sum())
-    # 0.0 - x, not -x: where every q is 0 the sum is -0.0, and this is +0.0
-    return 0.0 - math.expm1(log_cdf)
-
-
 def parallel_sf_ie(model: ValidatedModel, t: float) -> ParallelResult:
     """Inclusion-exclusion parallel survival P(max_i X_i > t)."""
     value, bound = _ie_sum(model, t)
@@ -148,10 +136,10 @@ def parallel_sf_closed(model: ValidatedModel, t: float) -> float | None:
     fam = model.family
     if fam not in (Family.INDEP_EXP, Family.MOME, Family.MG1):
         return None
-    shocks = [(mask, rate) for mask, rate in model.rates.items if mask & (mask - 1)]
-    if fam is Family.MG1 or len(shocks) > min(max(model.n - 3, 0), 13):
+    shocks = len(model.rates.interaction_members)
+    if fam is Family.MG1 or shocks > min(max(model.n - 3, 0), 13):
         return _incidence_sf(model, t)
-    return _conditioned_sf(model, shocks, t)
+    return _conditioned_sf(model, t)
 
 
 def _log1mexp(x: float) -> float:
@@ -160,25 +148,28 @@ def _log1mexp(x: float) -> float:
             else math.log1p(-math.exp(-x)))
 
 
-def _conditioned_sf(model: ValidatedModel, shocks, t: float) -> float:
-    """fsum over the sets D that the interaction `shocks` killed by t of
-    P(D) * -expm1(sum_{i not in D} log q_i), q_i = -expm1(-lambda_i * t) the
-    chance that i failed by itself, log q_i = -inf where lambda_i * t is 0
-    or 0 * inf: terms >= 0.  A dict over the shocks holds P(D)."""
+def _conditioned_sf(model: ValidatedModel, t: float) -> float:
+    """fsum over the sets D that the interaction shocks killed by t of P(D)
+    * -expm1(sum_{i not in D} log q_i), q_i = -expm1(-lambda_i * theta_i(t))
+    the chance that i failed by itself, log q_i = -inf where lambda_i *
+    theta_i is 0 or 0 * inf: terms >= 0.  A dict holds P(D), {0: 1} alone
+    for a product model."""
     killed = {0: 1.0}
-    for shock, rate in shocks:
+    for shock, _, rate in model.rates.interaction_members:
         fire, stay = -math.expm1(-rate * t), math.exp(-rate * t)
         grown: dict[int, float] = {}
         for dead, p in killed.items():
             grown[dead] = grown.get(dead, 0.0) + p * stay
             grown[dead | shock] = grown.get(dead | shock, 0.0) + p * fire
         killed = grown
-    log_q = [_log1mexp(lam * t) if lam * t > 0 else -math.inf
-             for lam in model.rates.singleton_vector.tolist()]
-    dead = np.array(list(killed), np.int64)[:, None] >> np.arange(model.n) & 1
-    log_alive = np.where(dead == 0, log_q, 0.0).sum(axis=1)
-    return clamp_unit(math.fsum(p * -math.expm1(s) for p, s in
-                                zip(killed.values(), log_alive.tolist())))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf
+        hazards = model.rates.singleton_vector * _theta(model, np.full(model.n, t))
+    log_q = [(1 << i, _log1mexp(h) if h > 0 else -math.inf)
+             for i, h in enumerate(hazards.tolist())]
+    # 0.0 - x, not -x: where every q_i is 1, expm1 is 0 and this is +0.0
+    return clamp_unit(math.fsum(
+        p * (0.0 - math.expm1(sum(q for bit, q in log_q if not dead & bit)))
+        for dead, p in killed.items()))
 
 
 def _incidence_sf(model: ValidatedModel, t: float) -> float:
@@ -206,7 +197,7 @@ def _relative_to_independent(model: ValidatedModel, dep: float,
                              t: float) -> float:
     """(dep - ind) / ind, ind the independent counterpart's parallel
     survival at t (refused if 0); exactly 0 for a model with no dependence."""
-    ind = dep if model._is_product else _product_sf(model._indep, t)
+    ind = dep if model._is_product else _conditioned_sf(model._indep, t)
     if ind == 0.0:
         raise ZeroDenominatorError(
             f"independent-counterpart parallel sf is 0 at t={t}"
@@ -216,6 +207,6 @@ def _relative_to_independent(model: ValidatedModel, dep: float,
 
 def parallel_relative_error(model: ValidatedModel, t: float) -> float:
     """Relative error of the parallel survival under assumed independence:
-    dep by inclusion-exclusion, the independent side a product in O(n)."""
+    dep by inclusion-exclusion, the independent side the no-shock conditioned form."""
     dep, _ = _ie_sum(model, t)
     return _relative_to_independent(model, dep, t)

@@ -134,6 +134,31 @@ class TestRelativeError:
         points = error_curve(m, MetricKind.AI, [1e-6, 1e-3]).points
         assert [p.rel_err for p in points] == [None, 0.0]
 
+    def test_ai_where_the_hazard_products_overflow(self):
+        # at 1.5e154 H_d = 1.1e308, t * H_d' = 2.3e308, and H_d' * H_i and
+        # H_i' * H_d both overflow where AI_d / AI_i = 2 / 1: the error is
+        # the ratio of the ratios H'/H, float and array, closed and generic
+        m = validate_model(ModelSpec("MG1", 2, {(1,): 1.0, (2,): 1.0,
+                                                (1, 2): 0.5}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (relative_error, closed_form_error):
+                for t in (1e100, np.array([1e100])):
+                    assert np.all(fn(m, MetricKind.AI, t) == 1.0)
+                for t in (1.5e154, np.array([1.5e154])):
+                    assert fn(m, MetricKind.AI, t) == pytest.approx(1.0, rel=1e-15)
+
+    def test_mg1_closed_ai_where_the_hazard_underflows(self):
+        # H_d = 2e-600 + 0.5e-600 is 0 at t = 1e-300: the closed form read
+        # t * H' / 0, a bare ZeroDivisionError for a float and an invalid
+        # value for an array; it is refused as the generic error is
+        m = validate_model(ModelSpec("MG1", 2, {(1,): 1e-300, (2,): 1e-300,
+                                                (1, 2): 0.5}))
+        for t in (1e-300, np.array([1e-300, 1.0])):
+            for fn in (relative_error, closed_form_error):
+                with pytest.raises(SingularityError, match="t=1e-300"):
+                    fn(m, MetricKind.AI, t)
+
 
 class TestClosedForms:
     def test_mome_rhr_example(self):

@@ -150,6 +150,24 @@ def test_hazard_overflow_in_a_product_takes_the_array_path():
                 assert (h, dh) == (math.inf, model.rates.total)
 
 
+def test_sum_past_the_float_range_only_in_a_power():
+    # t**2 overflows at 1.5e154 where 0.5 * t**2 does not: the array path
+    # retakes that sum as (sum w * t**(e - 1)) * t, the float path's order,
+    # so H is the same float and AI is finite on both paths
+    model = validate_model(ModelSpec("MG1", 2, {(1,): 1.0, (2,): 1.0,
+                                                (1, 2): 0.5}))
+    ts = np.array([1e100, 1.5e154])
+    assert_paths_agree(model, ts)
+    h = series_hazard(model, ts)[0]
+    assert h.tolist() == [series_hazard(model, t)[0] for t in ts.tolist()]
+    assert h[1] == pytest.approx(1.125e308, rel=1e-15)
+    assert series_metric(model, MetricKind.AI, ts) == pytest.approx(2.0, rel=1e-15)
+    # under a root: the array path refused a finite g + s as "0 or inf"
+    crowder = validate_model(ModelSpec("Crowder", 1, {(1,): 0.5}, shapes=(2.0,),
+                                       gamma=0.5, stable_exponent=0.5))
+    assert_paths_agree(crowder, ts)
+
+
 @pytest.mark.parametrize("family", ["IndepExp", "MOME"])
 def test_exponential_hazard_is_rate_times_t(family, rng):
     # the one-term table (lam, 1) gives (lam * t, lam) to the bit

@@ -303,10 +303,12 @@ class TestCounterpartAndAggregates:
         assert m.rates.total == pytest.approx(3.0)
 
     def test_aggregates_mg1(self):
+        # the closed forms read a_1, the singleton sum, and the rest as H
         m = validate_model(
             ModelSpec("MG1", 2, {(1,): 1.0, (2,): 2.0, (1, 2): 0.5})
         )
-        assert tuple(m.rates.size_totals) == pytest.approx((3.0, 0.5))
+        assert sum(m.rates.singleton_vector.tolist()) == 3.0
+        assert series_metric(m, MetricKind.FR, 2.0) == 3.0 + 2 * 0.5 * 2.0
 
     def test_aggregates_lee_ml(self):
         m = validate_model(
@@ -320,7 +322,7 @@ class TestCounterpartAndAggregates:
             m = random_model("MOME", 4, rng)
             assert m.rates.total >= float(m.rates.singleton_vector.sum()) - 1e-12
             g = random_model("MG1", 4, rng)
-            assert all(a >= 0 for a in g.rates.size_totals)
+            assert (g.rates.singleton_vector >= 0).all()
             lee = random_model("LeeML", 3, rng)
             indep = independent_counterpart(lee)
             assert lee._lee_total >= indep._lee_total - 1e-12

@@ -1,6 +1,7 @@
 """Inclusion-exclusion parallel survival and compact closed forms."""
 
 import math
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -28,7 +29,6 @@ from deperr.parallel import (
     _ie_sum,
     _incidence_sf,
     _mask_chunk,
-    _product_sf,
 )
 
 from conftest import ALL_FAMILIES, random_model
@@ -256,7 +256,7 @@ def test_product_form_matches_ie_on_counterpart(family, rng):
             random_model(family, n, rng, require_interaction=n > 1))
         for t in (0.05, 0.5, 2.0, 20.0):
             ie, bound = _ie_sum(indep, t)
-            assert abs(_product_sf(indep, t) - ie) <= bound
+            assert abs(_conditioned_sf(indep, t) - ie) <= bound
 
 
 def test_product_form_zero_rate_component():
@@ -265,7 +265,7 @@ def test_product_form_zero_rate_component():
     indep = independent_counterpart(m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _product_sf(indep, 0.7) == 1.0
+        assert _conditioned_sf(indep, 0.7) == 1.0
         dep = parallel_sf_ie(m, 0.7).sf_ie
         assert parallel_relative_error(m, 0.7) == dep - 1.0
 
@@ -275,7 +275,7 @@ def test_product_form_every_hazard_overflowing():
                                  shapes=(1.5, 2.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = _product_sf(m, 1e200)
+        value = _conditioned_sf(m, 1e200)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0  # not -0.0
 
 
@@ -305,12 +305,12 @@ def test_masked_kernel_matches_explicit_batch(family, t, rng):
     exact = family in ("IndepExp", "MOME", "MG1")
     for n in range(1, 9):
         m = random_model(family, n, rng, require_interaction=n > 1)
-        masks = np.arange(1, 1 << n)
-        members = (masks[:, None] & (1 << np.arange(n))) != 0
+        masks, _, members = _mask_chunk(n, 1)  # every subset: n <= 8
+        inside = (masks[:, None] & (1 << np.arange(n))) != 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no nan: no invalid value
             masked = _joint_hazard(m, np.full(n, t), members)
-            explicit = _joint_hazard(m, np.where(members, t, 0.0))
+            explicit = _joint_hazard(m, np.where(inside, t, 0.0))
         assert not np.isnan(masked).any()
         if exact:
             assert masked.tobytes() == explicit.tobytes()
@@ -340,7 +340,7 @@ def test_component_without_singleton_rate_at_huge_t(family, params):
         warnings.simplefilter("error")
         result = parallel_sf_ie(m, 1e200)
         assert (result.sf_ie, result.error_bound) == (0.0, 0.0)
-        assert _product_sf(indep, 1e200) == 1.0
+        assert _conditioned_sf(indep, 1e200) == 1.0
         assert parallel_relative_error(m, 1e200) == -1.0
         assert joint_sf(indep, [1e200, 1e200]) == 0.0
 
@@ -439,7 +439,7 @@ def test_both_compact_forms_within_error_bound_of_ie(family, rng):
         m = _sparse_shock_model(family, n, rng)
         for t in (1e-3, 0.5, 2.0, 50.0):
             sf_ie, bound = _ie_sum(m, t)
-            forms = [_conditioned_sf(m, _interaction_shocks(m), t)]
+            forms = [_conditioned_sf(m, t)]
             if family == "MOME":
                 forms.append(_incidence_sf(m, t))
             for sf in forms:
@@ -451,8 +451,7 @@ def test_dispatch_names_one_path_bit_for_bit(rng):
     dense = random_model("MOME", 6, rng)  # dozens of shocks
     assert len(_interaction_shocks(dense)) > 6 - 3
     for t in (0.3, 2.0):
-        assert parallel_sf_closed(sparse, t) == _conditioned_sf(
-            sparse, _interaction_shocks(sparse), t)
+        assert parallel_sf_closed(sparse, t) == _conditioned_sf(sparse, t)
         assert parallel_sf_closed(dense, t) == _incidence_sf(dense, t)
 
 
@@ -481,7 +480,7 @@ def test_compact_forms_quiet_at_huge_t(t, rng):
                       (sparse, 0.0), (independent_counterpart(sparse), 1.0),
                       (_sparse_shock_model("IndepExp", 5, rng), 0.0)):
             assert parallel_sf_closed(m, t) == sf
-            assert _conditioned_sf(m, _interaction_shocks(m), t) == sf
+            assert _conditioned_sf(m, t) == sf
             if m.family is Family.MOME:
                 assert _incidence_sf(m, t) == sf
 
@@ -497,6 +496,62 @@ def test_conditioned_form_at_tiny_t(rng):
             sf_ie, bound = _ie_sum(m, t)
             assert parallel_sf_closed(m, t) == 1.0
             assert abs(1.0 - sf_ie) <= bound
+
+
+def _exact_sf(model, t):
+    """60-digit inclusion-exclusion over the subsets S of exp(-H_S), H_S the
+    sum of lambda_T * theta_T(t) over rated T meeting S: theta is t, t**a_i
+    or (c_i * t)**alpha, and a shock's is t (only MOME has shocks)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        td = Decimal(t)
+        theta = [td] * model.n
+        if model.shapes is not None:
+            theta = [td ** Decimal(a) for a in model.shapes]
+        elif model.family is Family.LEE_ML:
+            alpha = Decimal(model.alpha)
+            theta = [Decimal(c) ** alpha * td ** alpha for c in model.scales]
+        hazards = [(mask, Decimal(rate) * (theta[mask.bit_length() - 1]
+                                           if mask.bit_count() == 1 else td))
+                   for mask, rate in model.rates.items]
+        factors = [(mask, (-h).exp()) for mask, h in hazards]
+        total = Decimal(0)
+        for subset in range(1, 1 << model.n):
+            term = Decimal(1)
+            for mask, factor in factors:
+                if mask & subset:
+                    term *= factor
+            total += term if subset.bit_count() % 2 else -term
+        return total, float(max(h for _, h in hazards))
+
+
+def test_conditioned_form_against_exact_ie(rng):
+    # Bound, with u = eps/2 and H the largest lambda_T * theta_T(t):
+    # lambda_i * theta_i takes at most 6 roundings (two powers of 1 ulp, two
+    # products), and a relative error d in h_i moves log q_i by at most
+    # d * (1 + h_i) * |log q_i|, as h / ((e^h - 1) * -log(1 - e^-h)) <= 1 + h;
+    # log1mexp adds 3u and the n - 1 additions (n - 1)u, all relative to
+    # |L|, L = sum log q_i <= 0; -expm1(L) turns an error e in L into at most
+    # e / |L| relative, plus u.  Each of P(D)'s r factors exp(-lambda t) or
+    # -expm1(-lambda t) is within u * (2 + H), the r products and the
+    # dict's sums of positive values add 2ru, the product with P(D) u and
+    # fsum of the nonnegative terms u: u * (n + 9 + 6H + r * (4 + H) + 2),
+    # at most u * (n + 4r + 11) * (1 + H).
+    u = sys.float_info.epsilon / 2
+    models = [independent_counterpart(random_model(family, n, rng,
+                                                   require_interaction=n > 1))
+              for family in ALL_FAMILIES for n in range(1, 9)]
+    models += [_sparse_shock_model("MOME", n, rng) for n in range(1, 9)]
+    for m in models:
+        r = len(m.rates.interaction_members)
+        for t in (1e-3, 0.5, 2.0, 20.0, 50.0):
+            exact, big = _exact_sf(m, t)
+            if exact < sys.float_info.min:
+                continue  # below the float range
+            bound = u * (m.n + 4 * r + 11) * (1.0 + big)
+            sf = _conditioned_sf(m, t)
+            assert abs(Decimal(sf) - exact) <= Decimal(bound) * exact, (
+                m.family, m.n, t, sf, float(exact))
 
 
 def test_golden_compact_cell_is_correctly_rounded():
