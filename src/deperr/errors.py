@@ -195,7 +195,10 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
         return slope - 1.0
     if metric is MetricKind.RHR:
         return slope * each(expm1_ratio, s, h) - 1.0
-    return slope * s / h - 1.0  # AI
+    ps = slope * s  # AI; where that product overflows, slope * (s / h)
+    if isinstance(ps, np.ndarray):
+        return np.where(ps < math.inf, ps / h, slope * (s / h)) - 1.0
+    return (ps / h if ps < math.inf else slope * (s / h)) - 1.0
 
 
 def lemma_g(beta: float, gamma: float, x: float) -> float:

@@ -145,10 +145,9 @@ class SubsetRates:
         return vec
 
     @cached_property
-    def singleton_support(self) -> np.ndarray | None:
-        """Indices of the components with a singleton rate; None for all."""
-        vec = self.singleton_vector
-        return None if vec.all() else np.flatnonzero(vec)
+    def singleton_support(self) -> np.ndarray:
+        """Indices of the components with a singleton rate."""
+        return np.flatnonzero(self.singleton_vector)
 
     @cached_property
     def rate_array(self) -> np.ndarray:
@@ -444,74 +443,90 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
 # ---------------------------------------------------------------------------
 
 
-def _singleton_dot(rates: SubsetRates, v: np.ndarray):
-    """sum_i lambda_i v_i over the components with a singleton rate: where
-    lambda_i = 0 a power v_i may be inf, and 0 * inf is nan."""
-    keep, w = rates.singleton_support, rates.singleton_vector
-    return v @ w if keep is None else v[..., keep] @ w[keep]
+# A shock's reduce over its members, in the families with interaction shocks.
+_REDUCE = {Family.MOME: np.maximum, Family.MOMW: np.maximum,
+           Family.LEE_ML: np.maximum, Family.MG1: np.multiply}
 
 
-def _shock_sum(rates: SubsetRates, v: np.ndarray, reduce: np.ufunc):
-    """sum over rated subsets T of lambda_T * reduce_{i in T} v_i.
+def _coordinates(model: ValidatedModel, x: np.ndarray) -> tuple:
+    """(theta,), or (theta, y) for LuBI with delta > 0: theta_i(x_i), which
+    the rates multiply (x, c_i**alpha * x**alpha for LeeML, or x**a_i), and
+    y_i = x_i**(a_i / m), which LuBI's coupling sums; overflow per errstate."""
+    if model.family is Family.LEE_ML:
+        return (model._scale_powers * x**model.alpha,)
+    theta = x if model.shapes is None else x**model._shape_vector
+    if model.family is Family.LU_BI and model.delta > 0.0:
+        return theta, x ** (model._shape_vector / model.m)
+    return (theta,)
 
-    One point reduces each subset's segment of `flat_members` in one
-    `reduceat`.  A (k, n) batch takes the singletons as one matrix-vector
-    product and then adds each larger subset from its members' columns:
-    O(k * sum |T|) work and no (k, subsets, n) temporary.  `fmax` with 0
-    makes a product of inf and 0 (nan) 0 and leaves the others, all >= 0.
-    """
-    product = reduce is np.multiply
-    if v.ndim == 1:
-        flat, starts = rates.flat_members
-        parts = reduce.reduceat(v[flat], starts)
-        return rates.rate_array @ (np.fmax(parts, 0.0) if product else parts)
-    cols = v.T
-    h = _singleton_dot(rates, v)
-    for _, members, rate in rates.interaction_members:
-        part = reduce.reduce(cols[members], axis=0)
-        h += rate * (np.fmax(part, 0.0, out=part) if product else part)
+
+def _quiet(model: ValidatedModel):
+    """The kernel's errstate: past the float range a power, sum or product
+    is inf, quietly, and so is MG1's inf * 0 (nan), which `_combine` makes 0."""
+    mg1 = model.family is Family.MG1
+    return np.errstate(over="ignore", invalid="ignore" if mg1 else None)
+
+
+def _parts(model: ValidatedModel, coords, lo: int = 0):
+    """The joint hazard's parts over `_coordinates` at one point (n,), or in
+    batches (k, m) of components lo..lo + m - 1, each with the ufunc that
+    joins two sets of components: the singleton sum (np.add; skipping
+    lambda_i = 0, as 0 * inf is nan), each shock's `_REDUCE` over the
+    members it holds there, and LuBI's coupling sum (np.add)."""
+    v, width, rates = coords[0], coords[0].shape[-1], model.rates
+    w = rates.singleton_vector[lo:lo + width]
+    keep = rates.singleton_support if width == rates.n else np.flatnonzero(w)
+    yield np.add, v @ w if keep.size == width else v[..., keep] @ w[keep]
+    reduce = _REDUCE.get(model.family)
+    if reduce is not None:
+        # a half reduces over the members it holds, from the reduce's identity
+        # (it may hold none); one point or all n take no initial value
+        cols = v.T
+        identity = None if width == rates.n else float(reduce is np.multiply)
+        for _, members, _ in rates.interaction_members:
+            if identity is not None:
+                members = members[(members >= lo) & (members < lo + width)] - lo
+            yield reduce, reduce.reduce(cols[members], axis=0, initial=identity)
+    if len(coords) > 1:
+        yield np.add, coords[1] @ w ** (1.0 / model.m)
+
+
+def _combine(model: ValidatedModel, parts):
+    """The joint hazard from `_parts` (of one point, a batch or two joined
+    halves): the singleton sum plus lambda_T times each shock's reduce, 0
+    where MG1's product met inf * 0 (nan); the Crowder/LeeII power gap of
+    the sum; or the sum plus LuBI's delta * u**m."""
+    _, h = next(parts)
+    if model.family in _REDUCE:
+        product = model.family is Family.MG1
+        for (_, _, rate), (_, part) in zip(model.rates.interaction_members, parts):
+            h += rate * (np.fmax(part, 0.0, out=part) if product else part)
+        return h
+    if model.family in (Family.CROWDER, Family.LEE_II):
+        return power_gap(model.gamma, h, model.stable_exponent)
+    for _, u in parts:  # LuBI with delta > 0; at 0, delta * u**m may be 0 * inf
+        h = h + model.delta * u**model.m
     return h
 
 
-def _masked(members, v: np.ndarray) -> np.ndarray:
-    """v, or the (k, n) batch of v at the members and 0 elsewhere, gathered
-    at an index table: a power may be inf, and 0 * inf is nan."""
-    return v if members is None else np.append(v, 0.0)[members]
-
-
-def _theta(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
-    """Per-coordinate theta_i(x_i), which the rates multiply: x, c_i**alpha *
-    x**alpha (LeeML) or x**a_i (Weibull); overflow per the caller's errstate."""
-    if model.family is Family.LEE_ML:
-        return model._scale_powers * x**model.alpha
-    return x if model.shapes is None else x**model._shape_vector
-
-
-def _joint_hazard(model: ValidatedModel, x: np.ndarray, members=None):
+def _joint_hazard(model: ValidatedModel, x: np.ndarray):
     """Joint cumulative hazard -ln F_bar(x_1,...,x_n).
 
-    `x` is one point of shape (n,), giving a numpy float, or a batch of
-    shape (k, n), giving a (k,) array.  With `members`,
-    `parallel._mask_chunk`'s index table, `x` is one point t * 1 and the
-    batch is t * 1_S per row S, each power taken once.  A power, sum or
-    product beyond the float range is inf, quietly, and so is the hazard
-    at an inf coordinate of a component that fails in finite time.
+    `x` is one point of shape (n,), giving a numpy float (every rated
+    subset's reduce in one `reduceat`), or a batch of shape (k, n), giving
+    a (k,) array: `_combine` of `_parts`.  A power, sum or product beyond
+    the float range is inf, quietly, and so is the hazard at an inf
+    coordinate of a component that fails in finite time.
     """
-    fam = model.family
-    mg1 = fam is Family.MG1  # a shock's product may be inf * 0: 0 there
-    with np.errstate(over="ignore", invalid="ignore" if mg1 else None):
-        v = _masked(members, _theta(model, x))
-        if fam in (Family.MG1, Family.MOME, Family.MOMW, Family.LEE_ML):
-            return _shock_sum(model.rates, v, np.multiply if mg1 else np.maximum)
-        s = _singleton_dot(model.rates, v)
-        if fam in (Family.CROWDER, Family.LEE_II):
-            return power_gap(model.gamma, s, model.stable_exponent)
-        if fam is not Family.LU_BI or model.delta == 0.0:
-            return s  # LuBI's delta * u**m would be 0 * inf at a huge x
-        mm = model.m
-        root = model.rates.singleton_vector ** (1.0 / mm)
-        u = _masked(members, x ** (model._shape_vector / mm)) @ root
-        return s + model.delta * u**mm
+    reduce = _REDUCE.get(model.family)
+    with _quiet(model):
+        coords = _coordinates(model, x)
+        if x.ndim > 1 or reduce is None:
+            return _combine(model, _parts(model, coords))
+        flat, starts = model.rates.flat_members
+        parts = reduce.reduceat(coords[0][flat], starts)
+        product = reduce is np.multiply  # fmax: inf * 0 (nan) is 0
+        return model.rates.rate_array @ (np.fmax(parts, 0.0) if product else parts)
 
 
 def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:

@@ -2,11 +2,13 @@
 
 The parallel survival at t is the alternating sum over nonempty component
 subsets S of the joint survival evaluated with t at the members of S and 0
-elsewhere.  Subsets are handled as integer bitmasks, in fixed-size chunks:
-each chunk's points t * 1_S go through the joint-hazard kernel as one
-(chunk, n) batch, so a pass's temporaries stay at one chunk whatever n
-is.  A chunk's masks, signs and member indices depend on n only: every pass
-shares them from a read-only cache of 16 chunks (13.6 MB at n = 24).
+elsewhere.  Subsets are integer bitmasks, read from tables of the member
+indices and signs of the masks of k bits, one per k <= 12 and the same for
+every n.  Up to 12 components one batch of the points t * 1_S goes through
+the joint-hazard kernel.  Above, a mask is a low half of 12 bits and a high
+half of n - 12 (meet in the middle; Horowitz and Sahni 1974): the kernel's
+parts are taken on each half and joined per chunk of high masks, so a
+pass's temporaries stay at one chunk whatever n is.
 
 Compact forms, the families' own algebra apart from the kernel, check that
 value.  `_conditioned_sf` conditions on the r interaction shocks (rated
@@ -14,27 +16,31 @@ subsets of size >= 2; Marshall and Olkin 1967): at most 2^r states, a table
 under 2 MB at r = 13, no cancellation.  It serves IndepExp, MOME with r <=
 min(max(n - 3, 0), 13) (a rule timed at n <= 16 only), and with r = 0 the
 independent side of every relative error, each counterpart a product model.
-MG1, and MOME with more shocks, sum over the subsets by incidence products.
+MG1, and MOME with more shocks, sum over the subsets by shock incidence.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .exceptions import DomainError, ZeroDenominatorError
-from .models import Family, ValidatedModel, _joint_hazard, _theta
+from .models import (MAX_COMPONENTS, Family, SubsetRates, ValidatedModel,
+                     _combine, _coordinates, _parts, _quiet)
 from .numerics import clamp_unit
 
-# Subset masks per chunk: each (chunk, n) temporary is under 1 MB at n = 24.
-_CHUNK = 4096
-# Rated subsets per incidence block: a (block, chunk) temporary is 8 MB.
-_SHOCKS = 256
+# Bits of a mask's low half: n <= 24 = 2 * 12 has at most two halves.
+_HALF = MAX_COMPONENTS // 2
+# Masks per chunk above 12 components: a (chunk) temporary is 128 KB.
+_CHUNK = 1 << 14
+# Up to this many low-half parts (8 MB) are kept for every chunk of a pass;
+# a model with more takes them again per chunk.
+_KEPT = 256
 
 
 @dataclass(frozen=True)
@@ -54,9 +60,11 @@ class ParallelResult:
     nonnegative parts (r - 1 roundings), each formed in at most n + 3
     roundings (a rate times a product of up to n coordinates, or two
     powers and two products), so its relative error is at most about
-    kappa * u, which `exp` turns into kappa * u * H_S * term_S.  The bound
-    grows with the cancellation: sum term_S is up to 2^n - 1 while the
-    result is at most 1.  For Crowder, LeeII and LuBI the hazard is a
+    kappa * u, which `exp` turns into kappa * u * H_S * term_S.  Above 12
+    components the two halves of a mask regroup the same additions and
+    multiplications (a max is exact), so the counts, and kappa, hold.  The
+    bound grows with the cancellation: sum term_S is up to 2^n - 1 while
+    the result is at most 1.  For Crowder, LeeII and LuBI the hazard is a
     power of such a sum, which scales its relative error by the exponent
     (at most 1 for LeeII, m for LuBI), and the Crowder difference
     (gamma + s)^l - gamma^l cancels when s << gamma; the bound does not
@@ -70,49 +78,72 @@ class ParallelResult:
     error_bound: float
 
 
-@lru_cache(maxsize=16)
-def _mask_chunk(n: int, start: int) -> tuple[np.ndarray, ...]:
-    """(masks, signs, members) for the chunk of nonempty subsets of {1..n}
-    that begins at mask `start`, read-only: every pass at n shares them.
-
-    signs[j] is the inclusion-exclusion sign (-1)^(|S| + 1) of masks[j],
-    and members[j] its `_masked` index row: i at a member i of S, else n.
-    """
-    masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-    parity = masks.copy()
-    for shift in (16, 8, 4, 2, 1):  # xor-fold the bits: n <= 24 < 32
-        parity ^= parity >> shift
-    bits = np.arange(n, dtype=np.intp)
-    members = np.where(masks[:, None] >> bits & 1 == 1, bits, n)
-    tables = masks, np.where(parity & 1, 1.0, -1.0), members
+@lru_cache(maxsize=_HALF + 1)
+def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(members, signs) of the masks j < 2^k, read-only and the same for
+    every n, built once per bit count k <= 12 (0.8 MB for all 13): members[j,
+    i] is i where bit i of j is set, else -1, which picks the 0 that a half
+    appends to its coordinates, and signs[j] = (-1)^(|j| + 1)."""
+    inside = np.arange(1 << k)[:, None] >> np.arange(k) & 1 == 1
+    tables = (np.where(inside, np.arange(k), -1),
+              np.where(inside.sum(axis=1) % 2, 1.0, -1.0))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _alternating_sum(n: int, term) -> float:
-    """fsum of signs * term(masks, members) over the chunks at n, clamped
-    to [0, 1]: exactly rounded, one chunk's terms in memory at a time."""
-    chunks = (_mask_chunk(n, start) for start in range(1, 1 << n, _CHUNK))
-    return clamp_unit(math.fsum(chain.from_iterable(
-        (signs * term(masks, members)).tolist() for masks, signs, members in chunks)))
+def _gather(coords, index: np.ndarray, lo: int = 0) -> list:
+    """Each of `coords` on the components lo, lo + 1, ... at the members
+    of each row of a `_subsets` index table, and 0 elsewhere."""
+    return [np.append(c[lo:lo + index.shape[1]], 0.0)[index] for c in coords]
+
+
+def _hazard_chunks(model: ValidatedModel, x: np.ndarray):
+    """(H_S, (-1)^(|S| + 1)) over the nonempty subsets S in chunks of
+    consecutive masks from 1, H_S the joint hazard at x on S's members and
+    0 elsewhere: one `_parts` batch up to 12 components, else per chunk of
+    high masks each part of the two halves joined by its ufunc's `outer`."""
+    n, rows = model.n, _CHUNK >> _HALF
+    with _quiet(model):
+        coords = _coordinates(model, x)
+        if n <= _HALF:
+            index, signs = _subsets(n)
+            hazard = _combine(model, _parts(model, _gather(coords, index[1:])))
+        else:
+            (index, signs), (top_index, tops) = _subsets(_HALF), _subsets(n - _HALF)
+            low = _gather(coords, index)
+            high = list(_parts(model, _gather(coords, top_index, _HALF), _HALF))
+            kept = list(_parts(model, low)) if len(high) <= _KEPT else None
+    if n <= _HALF:
+        yield hazard, signs[1:]
+        return
+    tops = -tops  # (-1)^|S_hi|, so that each sign is tops[hi] * signs[lo]
+    for start in range(0, tops.size, rows):
+        top = slice(start, start + rows)
+        with _quiet(model):
+            joined = ((join, join.outer(hi[top], lo)) for (join, lo), (_, hi)
+                      in zip(kept or _parts(model, low), high))
+            hazard = _combine(model, joined).ravel()
+        empty = int(start == 0)  # mask 0 heads the first chunk
+        yield hazard[empty:], np.multiply.outer(tops[top], signs).ravel()[empty:]
 
 
 def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
-    """(sf_ie, error_bound) of `parallel_sf_ie`, without the compact form."""
+    """(sf_ie, error_bound) of `parallel_sf_ie`, without the compact form:
+    the terms' fsum, exactly rounded, one chunk's terms at a time."""
     if not t > 0:
         raise DomainError(f"t must be > 0, got {t}")
     kappa = len(model.rates.items) + model.n + 2
     weighted: list[float] = []  # per chunk, sum of term_S * (3 + kappa * H_S)
 
-    def terms(masks, members) -> np.ndarray:
-        hazard = _joint_hazard(model, np.full(model.n, t), members)
-        sf = np.minimum(np.exp(-hazard), 1.0)
-        weight = 3.0 + kappa * np.where(sf > 0.0, hazard, 0.0)
-        weighted.append(float(np.dot(sf, weight)))
-        return sf
+    def terms():
+        for hazard, signs in _hazard_chunks(model, np.full(model.n, t)):
+            sf = np.minimum(np.exp(-hazard), 1.0)
+            weight = 3.0 + kappa * np.where(sf > 0.0, hazard, 0.0)
+            weighted.append(float(np.dot(sf, weight)))
+            yield (signs * sf).tolist()
 
-    value = _alternating_sum(model.n, terms)
+    value = clamp_unit(math.fsum(chain.from_iterable(terms())))
     return value, 0.5 * sys.float_info.epsilon * math.fsum(weighted)
 
 
@@ -163,7 +194,8 @@ def _conditioned_sf(model: ValidatedModel, t: float) -> float:
             grown[dead | shock] = grown.get(dead | shock, 0.0) + p * fire
         killed = grown
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf
-        hazards = model.rates.singleton_vector * _theta(model, np.full(model.n, t))
+        theta = _coordinates(model, np.full(model.n, t))[0]
+        hazards = model.rates.singleton_vector * theta
     log_q = [(1 << i, _log1mexp(h) if h > 0 else -math.inf)
              for i, h in enumerate(hazards.tolist())]
     # 0.0 - x, not -x: where every q_i is 1, expm1 is 0 and this is +0.0
@@ -174,23 +206,16 @@ def _conditioned_sf(model: ValidatedModel, t: float) -> float:
 
 def _incidence_sf(model: ValidatedModel, t: float) -> float:
     """Alternating sum over subsets S of exp(-E_S), E_S = sum of weights
-    lambda_T * t over rated T meeting S (MOME), or lambda_T * t^|T|
-    over T within S (MG1), each at most the float max so that a 0 of the
-    (subsets, chunk) incidence never meets inf; `_SHOCKS` subsets a block."""
-    mg1 = model.family is Family.MG1
-    shocks = np.array([mask for mask, _ in model.rates.items], np.int64)
-    power = np.array([s.bit_count() for s in shocks.tolist()]) if mg1 else 1
+    lambda_T * t over rated T meeting S (MOME), or lambda_T * t^|T| over T
+    within S (MG1), each at most the float max: the IE pass at t = 1 with
+    the weights as rates, where a shock's reduce is its 0/1 incidence."""
+    masks = [mask for mask, _ in model.rates.items]
+    power = np.array([s.bit_count() for s in masks]) if model.family is Family.MG1 else 1
     with np.errstate(over="ignore"):
         weights = np.minimum(model.rates.rate_array * t**power, sys.float_info.max)
-    blocks = [(shocks[j:j + _SHOCKS, None], weights[j:j + _SHOCKS])
-              for j in range(0, len(shocks), _SHOCKS)]
-
-    def survival(masks, _) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(-sum(w @ ((s & masks == s) if mg1 else (s & masks != 0))
-                               for s, w in blocks))
-
-    return _alternating_sum(model.n, survival)
+    rates = SubsetRates(model.n, tuple(zip(masks, weights.tolist())))
+    rates.__dict__["members"] = model.rates.members  # the cached members hold
+    return _ie_sum(replace(model, rates=rates), 1.0)[0]
 
 
 def _relative_to_independent(model: ValidatedModel, dep: float,

@@ -148,6 +148,17 @@ class TestRelativeError:
                 for t in (1.5e154, np.array([1.5e154])):
                     assert fn(m, MetricKind.AI, t) == pytest.approx(1.0, rel=1e-15)
 
+    def test_crowder_closed_ai_where_slope_times_sum_overflows(self):
+        # at 1e154 slope * s = 2e308 overflows where slope * (s / h) = 2
+        m = validate_model(ModelSpec("Crowder", 1, {(1,): 1.0}, shapes=(1.0,),
+                                     gamma=0.0, stable_exponent=2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (relative_error, closed_form_error):
+                assert fn(m, MetricKind.AI, 1e154) == 1.0
+                ai = fn(m, MetricKind.AI, np.array([1e100, 1e154]))
+                assert ai.tolist() == [1.0, 1.0]
+
     def test_mg1_closed_ai_where_the_hazard_underflows(self):
         # H_d = 2e-600 + 0.5e-600 is 0 at t = 1e-300: the closed form read
         # t * H' / 0, a bare ZeroDivisionError for a float and an invalid

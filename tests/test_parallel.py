@@ -24,11 +24,11 @@ from deperr import (
 )
 from deperr.models import _joint_hazard
 from deperr.parallel import (
-    _CHUNK,
     _conditioned_sf,
+    _hazard_chunks,
     _ie_sum,
     _incidence_sf,
-    _mask_chunk,
+    _subsets,
 )
 
 from conftest import ALL_FAMILIES, random_model
@@ -300,22 +300,56 @@ FAMILY_PARAMS = [(f, t) for f in ALL_FAMILIES for t in (0.3, 1.0, 4.0)] + [
 ]
 
 
+def _pass_hazards(model, t):
+    """The IE pass's hazards and signs over the masks 1..2^n - 1, in order."""
+    hazards, signs = zip(*_hazard_chunks(model, np.full(model.n, t)))
+    return np.concatenate(hazards), np.concatenate(signs)
+
+
+def _split_model(family, n, rng):
+    """A model over both halves of a mask (n > 12): random singletons and,
+    for the shock families, shocks {3, 4} (in the low half only), {1, n},
+    {2, n - 1, n} and the global one (MG1's at a fifth of its members'
+    singleton product)."""
+    singles = {(i,): float(rng.uniform(0.05, 1.5)) for i in range(1, n + 1)}
+    rates, kw = dict(singles), {}
+    if family in ("MOME", "MG1", "MOMW", "LeeML"):
+        for shock in ((3, 4), (1, n), (2, n - 1, n), tuple(range(1, n + 1))):
+            rates[shock] = (0.2 * math.prod(singles[(i,)] for i in shock)
+                            if family == "MG1" else float(rng.uniform(0.05, 1.5)))
+    if family in ("IndepWeibull", "MOMW", "Crowder", "LeeII", "LuBI"):
+        kw["shapes"] = tuple(float(rng.uniform(0.6, 2.5)) for _ in range(n))
+    kw.update({"Crowder": {"gamma": 0.4, "stable_exponent": 0.7},
+               "LeeII": {"stable_exponent": 0.6},
+               "LeeML": {"alpha": 1.3, "scales": tuple(1.0 + 0.05 * i
+                                                       for i in range(n))},
+               "LuBI": {"delta": 0.5, "m": 1.4}}.get(family, {}))
+    return validate_model(ModelSpec(family, n, rates, **kw))
+
+
 @pytest.mark.parametrize("family,t", FAMILY_PARAMS)
 def test_masked_kernel_matches_explicit_batch(family, t, rng):
+    # up to 12 components the pass gathers the explicit batch itself; at 13
+    # its two halves regroup the sums and MG1's products
     exact = family in ("IndepExp", "MOME", "MG1")
-    for n in range(1, 9):
-        m = random_model(family, n, rng, require_interaction=n > 1)
-        masks, _, members = _mask_chunk(n, 1)  # every subset: n <= 8
-        inside = (masks[:, None] & (1 << np.arange(n))) != 0
+    models = [random_model(family, n, rng, require_interaction=n > 1)
+              for n in range(1, 9)]
+    for m in models + [_split_model(family, 13, rng)]:
+        masks = np.arange(1, 1 << m.n)
+        inside = (masks[:, None] >> np.arange(m.n) & 1) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no nan: no invalid value
-            masked = _joint_hazard(m, np.full(n, t), members)
+            hazards, _ = _pass_hazards(m, t)
             explicit = _joint_hazard(m, np.where(inside, t, 0.0))
-        assert not np.isnan(masked).any()
-        if exact:
-            assert masked.tobytes() == explicit.tobytes()
+        assert not np.isnan(hazards).any()
+        if exact and m.n <= 8:
+            assert hazards.tobytes() == explicit.tobytes()
         else:
-            np.testing.assert_allclose(masked, explicit, rtol=1e-14)
+            np.testing.assert_allclose(hazards, explicit, rtol=1e-14)
+    # and one point at a time, each subset's reduce in one reduceat
+    for row in (1, 12, 4095, 4096, 4108, 6147, 8190):
+        point = np.where(inside[row], t, 0.0)
+        np.testing.assert_allclose(hazards[row], _joint_hazard(m, point), rtol=1e-14)
 
 
 @pytest.mark.parametrize("family", ["IndepWeibull", "MOMW", "LuBI"])
@@ -345,26 +379,27 @@ def test_component_without_singleton_rate_at_huge_t(family, params):
         assert joint_sf(indep, [1e200, 1e200]) == 0.0
 
 
-def test_mask_chunk_tables_are_read_only_and_bounded():
-    assert _mask_chunk.cache_info().maxsize == 16
-    for table in _mask_chunk(3, 1):
-        with pytest.raises(ValueError):
-            table[0] = table[0]
+def test_subset_table_is_read_only_and_bounded():
+    # one table per bit count k <= 12 of a half serves every n <= 24
+    assert _subsets.cache_info().maxsize == 13
+    for k in (0, 3, 12):
+        members, signs = _subsets(k)
+        assert members.shape == (1 << k, k) and signs.shape == (1 << k,)
+        assert members.flags.c_contiguous
+        for table in (members, signs):
+            with pytest.raises(ValueError):
+                table[0] = table[0]
 
 
 @pytest.mark.parametrize("n", [1, 12, 13, 14])
 def test_mask_chunks_cover_every_subset_once(n):
-    starts = range(1, 1 << n, _CHUNK)
-    masks, signs, members = (np.concatenate(parts) for parts in
-                             zip(*(_mask_chunk(n, s) for s in starts)))
-    assert masks.tolist() == list(range(1, 1 << n))
-    assert members.dtype == np.intp and members.flags.c_contiguous
-    inside = members < n
-    sizes = inside.sum(axis=1)
-    assert (sizes == [m.bit_count() for m in masks.tolist()]).all()
-    assert (inside == (masks[:, None] >> np.arange(n) & 1).astype(bool)).all()
-    assert (members[inside] == np.nonzero(inside)[1]).all()
-    assert (members[~inside] == n).all()
+    # lambda_i = 2^(i-1) at t = 1: H_S is the mask of S, exactly, in any order
+    m = validate_model(ModelSpec("IndepExp", n, {(i,): 2.0 ** (i - 1)
+                                                 for i in range(1, n + 1)}))
+    hazards, signs = _pass_hazards(m, 1.0)
+    masks = np.arange(1, 1 << n)
+    assert (hazards == masks).all() and hazards.size == masks.size
+    sizes = np.array([mask.bit_count() for mask in masks.tolist()])
     assert (signs == np.where(sizes % 2 == 1, 1.0, -1.0)).all()
 
 
@@ -386,23 +421,23 @@ def _ie_bytes(models, t=0.7):
     return out
 
 
-@pytest.mark.parametrize("n", [13, 14])  # two and four chunks
-def test_ie_same_bytes_with_cold_and_warm_chunk_cache(n):
+@pytest.mark.parametrize("n", [13, 14, 15])  # 2, 4 and 8 high masks: 15 has two chunks
+def test_ie_same_bytes_on_repeat(n, monkeypatch):
     models = _sparse_models(n)
-    _mask_chunk.cache_clear()
-    cold = _ie_bytes(models)
-    assert _mask_chunk.cache_info().currsize == (1 << n) // _CHUNK
-    assert _ie_bytes(models) == cold
-    assert cold[0][1] == pytest.approx(float.fromhex(cold[0][0]), rel=1e-12)
+    first = _ie_bytes(models)
+    assert _ie_bytes(models) == first
+    assert first[0][1] == pytest.approx(float.fromhex(first[0][0]), rel=1e-12)
+    # the low half's parts taken again per chunk, as for a model with many
+    # shocks, give the same bytes as those kept for every chunk
+    monkeypatch.setattr("deperr.parallel._KEPT", 0)
+    assert _ie_bytes(models) == first
 
 
 def test_ie_same_bytes_when_n_interleaves():
     big, small = _sparse_models(14), _sparse_models(9)
-    _mask_chunk.cache_clear()
     first = _ie_bytes(big)
     small_first = _ie_bytes(small)
     assert _ie_bytes(big) == first
-    _mask_chunk.cache_clear()
     assert _ie_bytes(small) == small_first
 
 
@@ -542,16 +577,21 @@ def test_conditioned_form_against_exact_ie(rng):
                                                    require_interaction=n > 1))
               for family in ALL_FAMILIES for n in range(1, 9)]
     models += [_sparse_shock_model("MOME", n, rng) for n in range(1, 9)]
-    for m in models:
+    cases = [(m, t) for m in models for t in (1e-3, 0.5, 2.0, 20.0, 50.0)]
+    cases.append((_sparse_shock_model("MOME", 13, rng), 0.5))  # two halves
+    for m, t in cases:
         r = len(m.rates.interaction_members)
-        for t in (1e-3, 0.5, 2.0, 20.0, 50.0):
-            exact, big = _exact_sf(m, t)
-            if exact < sys.float_info.min:
-                continue  # below the float range
-            bound = u * (m.n + 4 * r + 11) * (1.0 + big)
-            sf = _conditioned_sf(m, t)
-            assert abs(Decimal(sf) - exact) <= Decimal(bound) * exact, (
-                m.family, m.n, t, sf, float(exact))
+        exact, big = _exact_sf(m, t)
+        if exact < sys.float_info.min:
+            continue  # below the float range
+        bound = u * (m.n + 4 * r + 11) * (1.0 + big)
+        sf = _conditioned_sf(m, t)
+        assert abs(Decimal(sf) - exact) <= Decimal(bound) * exact, (
+            m.family, m.n, t, sf, float(exact))
+        # the IE pass, within its own error_bound
+        sf_ie, ie_bound = _ie_sum(m, t)
+        assert abs(Decimal(sf_ie) - exact) <= Decimal(ie_bound), (
+            m.family, m.n, t, sf_ie, float(exact), ie_bound)
 
 
 def test_golden_compact_cell_is_correctly_rounded():
