@@ -145,11 +145,6 @@ class SubsetRates:
         return vec
 
     @cached_property
-    def singleton_support(self) -> np.ndarray:
-        """Indices of the components with a singleton rate."""
-        return np.flatnonzero(self.singleton_vector)
-
-    @cached_property
     def rate_array(self) -> np.ndarray:
         return np.array([rate for _, rate in self.items], dtype=float)
 
@@ -169,8 +164,8 @@ class SubsetRates:
     @cached_property
     def interaction_members(self) -> tuple[tuple[int, np.ndarray, float], ...]:
         """(mask, 0-based members, rate) of each rated subset of size >= 2."""
-        return tuple((mask, np.array(members), rate) for members, (mask, rate)
-                     in zip(self.members, self.items) if len(members) > 1)
+        return tuple((mask, np.array(mask_members(mask)), rate)
+                     for mask, rate in self.items if mask & (mask - 1))
 
     def singletons_only(self) -> "SubsetRates":
         return SubsetRates(
@@ -469,42 +464,45 @@ def _quiet(model: ValidatedModel):
 
 def _parts(model: ValidatedModel, coords, lo: int = 0):
     """The joint hazard's parts over `_coordinates` at one point (n,), or in
-    batches (k, m) of components lo..lo + m - 1, each with the ufunc that
-    joins two sets of components: the singleton sum (np.add; skipping
-    lambda_i = 0, as 0 * inf is nan), each shock's `_REDUCE` over the
-    members it holds there, and LuBI's coupling sum (np.add)."""
-    v, width, rates = coords[0], coords[0].shape[-1], model.rates
-    w = rates.singleton_vector[lo:lo + width]
-    keep = rates.singleton_support if width == rates.n else np.flatnonzero(w)
-    yield np.add, v @ w if keep.size == width else v[..., keep] @ w[keep]
+    a batch (k, m) of components lo..lo + m - 1: the singleton sum (skipping
+    lambda_i = 0, as 0 * inf is nan), each shock's `_REDUCE` over its
+    members there, and LuBI's coupling sum; None for a part with nothing
+    in those components (no singleton rate, or no member of the shock)."""
+    v, rates = coords[0], model.rates
+    hi = lo + v.shape[-1]
+    w = rates.singleton_vector[lo:hi]
+    held = np.count_nonzero(w)
+    yield (None if not held else v @ w if held == w.size
+           else v[..., w > 0] @ w[w > 0])
     reduce = _REDUCE.get(model.family)
     if reduce is not None:
-        # a half reduces over the members it holds, from the reduce's identity
-        # (it may hold none); one point or all n take no initial value
         cols = v.T
-        identity = None if width == rates.n else float(reduce is np.multiply)
-        for _, members, _ in rates.interaction_members:
-            if identity is not None:
-                members = members[(members >= lo) & (members < lo + width)] - lo
-            yield reduce, reduce.reduce(cols[members], axis=0, initial=identity)
+        below_lo, below_hi = (1 << lo) - 1, (1 << hi) - 1
+        for mask, members, _ in rates.interaction_members:
+            # the members are sorted: members[a:b] are those in lo..hi - 1
+            a, b = (mask & below_lo).bit_count(), (mask & below_hi).bit_count()
+            yield (reduce.reduce(cols[members[a:b] - lo if lo else members[a:b]], axis=0)
+                   if a < b else None)
     if len(coords) > 1:
-        yield np.add, coords[1] @ w ** (1.0 / model.m)
+        yield coords[1] @ w ** (1.0 / model.m) if held else None
 
 
 def _combine(model: ValidatedModel, parts):
     """The joint hazard from `_parts` (of one point, a batch or two joined
-    halves): the singleton sum plus lambda_T times each shock's reduce, 0
-    where MG1's product met inf * 0 (nan); the Crowder/LeeII power gap of
-    the sum; or the sum plus LuBI's delta * u**m."""
-    _, h = next(parts)
+    halves), each a shape that broadcasts to the result: the singleton sum
+    (None for none) plus lambda_T times each shock's reduce, 0 where MG1's
+    product met inf * 0 (nan); the Crowder/LeeII power gap of the sum; or
+    the sum plus LuBI's delta * u**m."""
+    h = next(parts)
     if model.family in _REDUCE:
         product = model.family is Family.MG1
-        for (_, _, rate), (_, part) in zip(model.rates.interaction_members, parts):
-            h += rate * (np.fmax(part, 0.0, out=part) if product else part)
+        h = 0.0 if h is None else h  # a model may rate shocks only
+        for (_, _, rate), part in zip(model.rates.interaction_members, parts):
+            h = h + rate * (np.fmax(part, 0.0, out=part) if product else part)
         return h
     if model.family in (Family.CROWDER, Family.LEE_II):
         return power_gap(model.gamma, h, model.stable_exponent)
-    for _, u in parts:  # LuBI with delta > 0; at 0, delta * u**m may be 0 * inf
+    for u in parts:  # LuBI with delta > 0; at 0, delta * u**m may be 0 * inf
         h = h + model.delta * u**model.m
     return h
 

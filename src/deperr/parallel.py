@@ -4,11 +4,11 @@ The parallel survival at t is the alternating sum over nonempty component
 subsets S of the joint survival evaluated with t at the members of S and 0
 elsewhere.  Subsets are integer bitmasks, read from tables of the member
 indices and signs of the masks of k bits, one per k <= 12 and the same for
-every n.  Up to 12 components one batch of the points t * 1_S goes through
-the joint-hazard kernel.  Above, a mask is a low half of 12 bits and a high
-half of n - 12 (meet in the middle; Horowitz and Sahni 1974): the kernel's
-parts are taken on each half and joined per chunk of high masks, so a
-pass's temporaries stay at one chunk whatever n is.
+every n.  A mask is a low half of L = min(n, 12) bits and a high half of
+the rest, perhaps none (meet in the middle; Horowitz and Sahni 1974): the
+joint-hazard kernel's parts are taken on each half and joined per chunk of
+high masks, so a pass's temporaries stay at one chunk whatever n is.  Up
+to 12 components the one chunk is the kernel's batch of all 2^n points.
 
 Compact forms, the families' own algebra apart from the kernel, check that
 value.  `_conditioned_sf` conditions on the r interaction shocks (rated
@@ -16,31 +16,32 @@ subsets of size >= 2; Marshall and Olkin 1967): at most 2^r states, a table
 under 2 MB at r = 13, no cancellation.  It serves IndepExp, MOME with r <=
 min(max(n - 3, 0), 13) (a rule timed at n <= 16 only), and with r = 0 the
 independent side of every relative error, each counterpart a product model.
-MG1, and MOME with more shocks, sum over the subsets by shock incidence.
+MG1, and MOME with more shocks, sum over the subsets by shock incidence,
+on masks and signs of their own.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
 from .exceptions import DomainError, ZeroDenominatorError
-from .models import (MAX_COMPONENTS, Family, SubsetRates, ValidatedModel,
+from .models import (MAX_COMPONENTS, _REDUCE, Family, ValidatedModel,
                      _combine, _coordinates, _parts, _quiet)
 from .numerics import clamp_unit
 
-# Bits of a mask's low half: n <= 24 = 2 * 12 has at most two halves.
+# Bits of a mask's low half: n <= 24 = 2 * 12 has at most two halves.  The
+# compact incidence product also takes its masks 2^12 at a time.
 _HALF = MAX_COMPONENTS // 2
-# Masks per chunk above 12 components: a (chunk) temporary is 128 KB.
-_CHUNK = 1 << 14
-# Up to this many low-half parts (8 MB) are kept for every chunk of a pass;
-# a model with more takes them again per chunk.
-_KEPT = 256
+# High masks per chunk: a (8, 4096) temporary of a pass is 256 KB.
+_ROWS = 8
+# Rated subsets per incidence block: a (block, 4096) temporary is 8 MB.
+_SHOCKS = 256
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class ParallelResult:
 def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(members, signs) of the masks j < 2^k, read-only and the same for
     every n, built once per bit count k <= 12 (0.8 MB for all 13): members[j,
-    i] is i where bit i of j is set, else -1, which picks the 0 that a half
-    appends to its coordinates, and signs[j] = (-1)^(|j| + 1)."""
+    i] is i where bit i of j is set, else -1, and signs[j] = (-1)^(|j| + 1)."""
     inside = np.arange(1 << k)[:, None] >> np.arange(k) & 1 == 1
     tables = (np.where(inside, np.arange(k), -1),
               np.where(inside.sum(axis=1) % 2, 1.0, -1.0))
@@ -92,40 +92,32 @@ def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _gather(coords, index: np.ndarray, lo: int = 0) -> list:
-    """Each of `coords` on the components lo, lo + 1, ... at the members
-    of each row of a `_subsets` index table, and 0 elsewhere."""
-    return [np.append(c[lo:lo + index.shape[1]], 0.0)[index] for c in coords]
-
-
 def _hazard_chunks(model: ValidatedModel, x: np.ndarray):
     """(H_S, (-1)^(|S| + 1)) over the nonempty subsets S in chunks of
     consecutive masks from 1, H_S the joint hazard at x on S's members and
-    0 elsewhere: one `_parts` batch up to 12 components, else per chunk of
-    high masks each part of the two halves joined by its ufunc's `outer`."""
-    n, rows = model.n, _CHUNK >> _HALF
-    with _quiet(model):
-        coords = _coordinates(model, x)
-        if n <= _HALF:
-            index, signs = _subsets(n)
-            hazard = _combine(model, _parts(model, _gather(coords, index[1:])))
-        else:
-            (index, signs), (top_index, tops) = _subsets(_HALF), _subsets(n - _HALF)
-            low = _gather(coords, index)
-            high = list(_parts(model, _gather(coords, top_index, _HALF), _HALF))
-            kept = list(_parts(model, low)) if len(high) <= _KEPT else None
-    if n <= _HALF:
-        yield hazard, signs[1:]
-        return
-    tops = -tops  # (-1)^|S_hi|, so that each sign is tops[hi] * signs[lo]
-    for start in range(0, tops.size, rows):
-        top = slice(start, start + rows)
+    0 elsewhere.  Per chunk of `_ROWS` high masks, each `_parts` of the high
+    half (rows,) is joined to the low half's (2^L,), L = min(n, 12), by
+    np.add (the singleton sums, LuBI's u) or the family's `_REDUCE` (a
+    shock's), and a part one half holds none of (None) is the other's.
+    Every component is in a rated subset, so above 12 components a part
+    spans the rows."""
+    n, join = model.n, _REDUCE.get(model.family, np.add)
+    bits = min(n, _HALF)
+    (index, signs), (top_index, tops) = _subsets(bits), _subsets(n - bits)
+    for start in range(0, tops.size, _ROWS):
+        top = slice(start, start + _ROWS)
         with _quiet(model):
-            joined = ((join, join.outer(hi[top], lo)) for (join, lo), (_, hi)
-                      in zip(kept or _parts(model, low), high))
+            # each coordinate with a 0 appended, which an index of -1 picks
+            ends = [np.append(c, 0.0) for c in _coordinates(model, x)]
+            high = _parts(model, [e[bits:][top_index[top]] for e in ends], bits)
+            low = _parts(model, [e[index] for e in ends])
+            joined = (lo if hi is None else hi[:, None] if lo is None
+                      else ufunc(hi[:, None], lo)
+                      for ufunc, hi, lo in zip(chain([np.add], repeat(join)), high, low))
             hazard = _combine(model, joined).ravel()
         empty = int(start == 0)  # mask 0 heads the first chunk
-        yield hazard[empty:], np.multiply.outer(tops[top], signs).ravel()[empty:]
+        # -tops[hi] = (-1)^|S_hi|, so that each sign is that times signs[lo]
+        yield hazard[empty:], np.multiply.outer(-tops[top], signs).ravel()[empty:]
 
 
 def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
@@ -207,15 +199,29 @@ def _conditioned_sf(model: ValidatedModel, t: float) -> float:
 def _incidence_sf(model: ValidatedModel, t: float) -> float:
     """Alternating sum over subsets S of exp(-E_S), E_S = sum of weights
     lambda_T * t over rated T meeting S (MOME), or lambda_T * t^|T| over T
-    within S (MG1), each at most the float max: the IE pass at t = 1 with
-    the weights as rates, where a shock's reduce is its 0/1 incidence."""
-    masks = [mask for mask, _ in model.rates.items]
-    power = np.array([s.bit_count() for s in masks]) if model.family is Family.MG1 else 1
+    within S (MG1), each at most the float max so that a 0 of the (subsets,
+    chunk) incidence never meets inf; `_SHOCKS` subsets a block.  The masks
+    and their signs are its own, not the inclusion-exclusion pass's."""
+    mg1, n = model.family is Family.MG1, model.n
+    shocks = np.array([mask for mask, _ in model.rates.items], np.int64)
+    power = np.array([s.bit_count() for s in shocks.tolist()]) if mg1 else 1
     with np.errstate(over="ignore"):
         weights = np.minimum(model.rates.rate_array * t**power, sys.float_info.max)
-    rates = SubsetRates(model.n, tuple(zip(masks, weights.tolist())))
-    rates.__dict__["members"] = model.rates.members  # the cached members hold
-    return _ie_sum(replace(model, rates=rates), 1.0)[0]
+    blocks = [(shocks[j:j + _SHOCKS, None], weights[j:j + _SHOCKS])
+              for j in range(0, len(shocks), _SHOCKS)]
+
+    def terms():
+        for start in range(1, 1 << n, 1 << _HALF):
+            masks = np.arange(start, min(start + (1 << _HALF), 1 << n), dtype=np.int64)
+            parity = masks.copy()
+            for shift in (16, 8, 4, 2, 1):  # xor-fold the bits: n <= 24 < 32
+                parity ^= parity >> shift
+            with np.errstate(over="ignore"):
+                sf = np.exp(-sum(w @ ((s & masks == s) if mg1 else (s & masks != 0))
+                                 for s, w in blocks))
+            yield np.where(parity & 1, sf, -sf).tolist()
+
+    return clamp_unit(math.fsum(chain.from_iterable(terms())))
 
 
 def _relative_to_independent(model: ValidatedModel, dep: float,

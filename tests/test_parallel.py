@@ -310,13 +310,15 @@ def _split_model(family, n, rng):
     """A model over both halves of a mask (n > 12): random singletons and,
     for the shock families, shocks {3, 4} (in the low half only), {1, n},
     {2, n - 1, n} and the global one (MG1's at a fifth of its members'
-    singleton product)."""
+    singleton product), and then no singleton rate for component n, so
+    that at n = 13 the high half holds none."""
     singles = {(i,): float(rng.uniform(0.05, 1.5)) for i in range(1, n + 1)}
     rates, kw = dict(singles), {}
     if family in ("MOME", "MG1", "MOMW", "LeeML"):
         for shock in ((3, 4), (1, n), (2, n - 1, n), tuple(range(1, n + 1))):
             rates[shock] = (0.2 * math.prod(singles[(i,)] for i in shock)
                             if family == "MG1" else float(rng.uniform(0.05, 1.5)))
+        del rates[(n,)]
     if family in ("IndepWeibull", "MOMW", "Crowder", "LeeII", "LuBI"):
         kw["shapes"] = tuple(float(rng.uniform(0.6, 2.5)) for _ in range(n))
     kw.update({"Crowder": {"gamma": 0.4, "stable_exponent": 0.7},
@@ -329,18 +331,21 @@ def _split_model(family, n, rng):
 
 @pytest.mark.parametrize("family,t", FAMILY_PARAMS)
 def test_masked_kernel_matches_explicit_batch(family, t, rng):
-    # up to 12 components the pass gathers the explicit batch itself; at 13
-    # its two halves regroup the sums and MG1's products
+    # up to 12 components the pass gathers the explicit batch of all 2^n
+    # masks itself; at 13 its two halves regroup the sums and MG1's products
     exact = family in ("IndepExp", "MOME", "MG1")
     models = [random_model(family, n, rng, require_interaction=n > 1)
-              for n in range(1, 9)]
-    for m in models + [_split_model(family, 13, rng)]:
-        masks = np.arange(1, 1 << m.n)
+              for n in range(1, 9)] + [_split_model(family, 13, rng)]
+    if family in ("MOME", "MG1"):  # shocks only, {13, 14} in the high half only
+        models.append(validate_model(ModelSpec(family, 14, {
+            tuple(range(1, 8)): 0.4, tuple(range(7, 15)): 0.3, (13, 14): 0.2})))
+    for m in models:
+        masks = np.arange(1 << m.n)
         inside = (masks[:, None] >> np.arange(m.n) & 1) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no nan: no invalid value
             hazards, _ = _pass_hazards(m, t)
-            explicit = _joint_hazard(m, np.where(inside, t, 0.0))
+            explicit = _joint_hazard(m, np.where(inside, t, 0.0))[1:]
         assert not np.isnan(hazards).any()
         if exact and m.n <= 8:
             assert hazards.tobytes() == explicit.tobytes()
@@ -348,7 +353,7 @@ def test_masked_kernel_matches_explicit_batch(family, t, rng):
             np.testing.assert_allclose(hazards, explicit, rtol=1e-14)
     # and one point at a time, each subset's reduce in one reduceat
     for row in (1, 12, 4095, 4096, 4108, 6147, 8190):
-        point = np.where(inside[row], t, 0.0)
+        point = np.where(inside[row + 1], t, 0.0)
         np.testing.assert_allclose(hazards[row], _joint_hazard(m, point), rtol=1e-14)
 
 
@@ -421,16 +426,12 @@ def _ie_bytes(models, t=0.7):
     return out
 
 
-@pytest.mark.parametrize("n", [13, 14, 15])  # 2, 4 and 8 high masks: 15 has two chunks
-def test_ie_same_bytes_on_repeat(n, monkeypatch):
+@pytest.mark.parametrize("n", [13, 14, 16])  # 2, 4 and 16 high masks: 16 has two chunks
+def test_ie_same_bytes_on_repeat(n):
     models = _sparse_models(n)
     first = _ie_bytes(models)
     assert _ie_bytes(models) == first
     assert first[0][1] == pytest.approx(float.fromhex(first[0][0]), rel=1e-12)
-    # the low half's parts taken again per chunk, as for a model with many
-    # shocks, give the same bytes as those kept for every chunk
-    monkeypatch.setattr("deperr.parallel._KEPT", 0)
-    assert _ie_bytes(models) == first
 
 
 def test_ie_same_bytes_when_n_interleaves():
