@@ -623,7 +623,9 @@ def _chain(t, base, ell: float, ds, table):
     ell * e * w**ell or 0 as ell * e is >, = or < 1.  With ell < 1, a base
     that is 0 or inf at a finite t, where base**ell may be finite, raises
     DomainError."""
-    if isinstance(t, float):  # `series_hazard` retries an inf H or 0.0 ** -x
+    if isinstance(t, float):  # `series_hazard` retries an inf H or 0.0 ** -x,
+        if base == math.inf:  # and an inf base: inf ** (ell - 1) may be 0.0
+            raise OverflowError
         return base**ell, ell * base ** (ell - 1.0) * ds
     edge = (base == 0.0) | (base == math.inf)  # t > 0, so base is > 0
     bad = _first_where(t, edge & (t < math.inf))
@@ -652,21 +654,28 @@ def series_hazard(model: ValidatedModel, t):
     one-point array.  A power or product beyond the float range is inf,
     quietly; a root of a sum that is inf, or 0, at a finite t > 0 (Crowder,
     LeeII, LuBI) raises DomainError.
+
+    A float t's pair is kept on the model until its next float t, so the
+    metrics and errors at one t evaluate each side once.
     """
     t = _times(t)
-    array = isinstance(t, np.ndarray)
-    # Python's ** raises OverflowError, or ZeroDivisionError at 0.0 ** -x,
-    # where numpy's gives inf quietly: a float retries those as an array.
-    if not array and t < math.inf:
+    if isinstance(t, np.ndarray):
+        with np.errstate(over="ignore"):  # the array path's one overflow rule
+            return _kernel(model, t)
+    last = model.__dict__.get("_last_hazard")  # beside cached_property's values
+    if last is not None and last[0] == t:
+        return last[1]
+    h = dh = math.inf  # t = inf takes the array path
+    if t < math.inf:  # Python's ** raises where numpy's gives inf quietly
         try:
             h, dh = _kernel(model, t)
-            if h + dh < math.inf:  # neither inf nor nan: nothing overflowed
-                return h, dh
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError):  # or 0.0 ** -x
             pass
-    with np.errstate(over="ignore"):  # the array path's one overflow rule
-        h, dh = _kernel(model, t if array else np.array([t]))
-    return (h, dh) if array else (float(h[0]), float(dh[0]))
+    if not h + dh < math.inf:  # inf or nan: retry as a one-point array
+        with np.errstate(over="ignore"):
+            h, dh = (float(v[0]) for v in _kernel(model, np.array([t])))
+    model.__dict__["_last_hazard"] = t, (h, dh)  # never a t that raised
+    return h, dh
 
 
 def _kernel(model: ValidatedModel, t):
