@@ -79,10 +79,8 @@ def _defined(metric: MetricKind, t, err):
     if bad is not None:
         raise ZeroDenominatorError(
             f"{metric.value} relative error exceeds the float range at t={bad}")
-    bad = _first_where(t, err != err)
-    if bad is not None:
-        raise SingularityError(f"{metric.value} error meets inf/inf or 0/0 at t={bad}")
-    return err
+    raise SingularityError(f"{metric.value} error meets inf/inf or 0/0 at "
+                           f"t={_first_where(t, err != err)}")
 
 
 def relative_error(model: ValidatedModel, metric: MetricKind, t):
@@ -120,8 +118,8 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     metric, t = _metric_kind(metric), _times(t)
     if isinstance(t, float):  # a Python float division overflows quietly
         err = _closed_form(model, metric, t)
-    else:
-        with np.errstate(over="ignore"):
+    else:  # quiet, as MG1's a1 * t is 0 * inf at a1 = 0 and t = inf
+        with np.errstate(over="ignore", invalid="ignore"):
             err = _closed_form(model, metric, t)
     return None if err is None else _defined(metric, t, err)
 
@@ -136,14 +134,7 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
     # The forms meet inf - inf and inf/inf where t or the hazard they read
     # (MOMW's H_d >= H_i, the MOME/LeeML RHR's lam * x) is inf, and 0/0 where
     # the Crowder/LeeII H_d or LeeML's x = t**alpha is 0: generic there.
-    if fam in (Family.MG1, Family.MOMW):
-        h, dh = series_hazard(model, t)
-        edge = h == math.inf
-    elif fam in (Family.CROWDER, Family.LEE_II):
-        s, _ = series_hazard(model._indep, t)  # IndepWeibull
-        h = power_gap(model.gamma, s, model.stable_exponent)  # H_d, or inf
-        edge = (h == math.inf) | (h == 0.0)
-    else:  # MOME and LeeML: H = lam * x on each side, x = t or t**alpha
+    if fam in (Family.MOME, Family.LEE_ML):  # H = lam * x, x = t or t**alpha
         if fam is Family.MOME:
             x, lam = t, model.rates.total
             s = sum(model.rates.singleton_vector.tolist())  # Python floats: quiet
@@ -154,6 +145,18 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
             lam, s = model._lee_total, model._indep._lee_total
         edge = ((t == math.inf) | (x == 0.0)  # RHR: expm1_ratio(inf, inf) is 1
                 | (metric is MetricKind.RHR) & (lam * x == math.inf))
+    else:  # the hazard pairs (hi, dhi) of the counterpart and (h, dh)
+        if fam is Family.MG1:  # a1, the left sum of MG1's own term table
+            dhi = sum(model.rates.singleton_vector.tolist())  # Python floats: quiet
+            hi = dhi * t
+        else:
+            hi, dhi = series_hazard(model._indep, t)  # IndepWeibull
+        if fam in (Family.MG1, Family.MOMW):
+            h, dh = series_hazard(model, t)
+            edge = h == math.inf
+        else:  # Crowder and LeeII
+            h = power_gap(model.gamma, hi, model.stable_exponent)  # H_d, or inf
+            edge = (h == math.inf) | (h == 0.0)
     if _first_where(t, edge) is not None:
         if isinstance(t, float):
             return relative_error(model, metric, t)
@@ -169,36 +172,26 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
         if metric is MetricKind.RHR:
             return (lam / s) * each(expm1_ratio, s * x, lam * x) - 1.0
         return _fill(t, 0.0)  # AI is 1, or LeeML's common shape, on both sides
-    if fam is Family.MG1:
-        a1 = sum(model.rates.singleton_vector.tolist())  # Python floats: quiet
-        if metric is MetricKind.SF:
-            return each(_expm1, a1 * t - h)
-        if a1 == 0.0:
+    if metric is MetricKind.SF:
+        return each(_expm1, hi - h)
+    if fam in (Family.MG1, Family.MOMW):  # MOMW has no RHR or AI form
+        if _first_where(t, dhi == 0.0) is not None:
             raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
-            return (dh - a1) / a1
+            return (dh - dhi) / dhi
         if metric is MetricKind.RHR:
-            return (dh / a1) * each(expm1_ratio, a1 * t, h) - 1.0
+            return (dh / dhi) * each(expm1_ratio, hi, h) - 1.0
         return _metric_values(MetricKind.AI, t, h, dh) - 1.0  # AI_i is 1
-    if fam is Family.MOMW:
-        s, ds = series_hazard(model._indep, t)
-        if metric is MetricKind.SF:
-            return each(_expm1, s - h)
-        if _first_where(t, ds == 0.0) is not None:
-            raise ZeroDenominatorError("model has no singleton rates")
-        return (dh - ds) / ds
-    if metric is MetricKind.SF:  # Crowder and LeeII
-        return each(_expm1, s - h)
-    g, ell = model.gamma, model.stable_exponent
-    slope = ell * (g + s) ** (ell - 1.0)
+    g, ell = model.gamma, model.stable_exponent  # Crowder and LeeII
+    slope = ell * (g + hi) ** (ell - 1.0)
     if metric is MetricKind.FR:
         return slope - 1.0
     if metric is MetricKind.RHR:
-        return slope * each(expm1_ratio, s, h) - 1.0
-    ps = slope * s  # AI; where that product overflows, slope * (s / h)
+        return slope * each(expm1_ratio, hi, h) - 1.0
+    ps = slope * hi  # AI; where that product overflows, slope * (hi / h)
     if isinstance(ps, np.ndarray):
-        return np.where(ps < math.inf, ps / h, slope * (s / h)) - 1.0
-    return (ps / h if ps < math.inf else slope * (s / h)) - 1.0
+        return np.where(ps < math.inf, ps / h, slope * (hi / h)) - 1.0
+    return (ps / h if ps < math.inf else slope * (hi / h)) - 1.0
 
 
 def lemma_g(beta: float, gamma: float, x: float) -> float:

@@ -129,15 +129,15 @@ def estimate_system_sf(
 # ---------------------------------------------------------------------------
 
 
-def _log_sf(model: ValidatedModel, t: float) -> float:
-    # A subnormal SF (H > 708) has lost relative precision, so its log is
-    # too coarse to difference; treat it like an underflow to 0.
+def _checked_sf(model: ValidatedModel, t: float) -> float:
+    # A subnormal SF (H > 708) has lost relative precision, so it and its
+    # log are too coarse to difference; treat it like an underflow to 0.
     sf = _sf_value(series_hazard(model, t)[0])  # as series_metric gives it
     if sf < sys.float_info.min or sf >= 1.0:
         raise SingularityError(
             f"series survival saturates at t={t}; shrink the stencil or move t"
         )
-    return -math.log(sf)
+    return sf
 
 
 def finite_diff_metric(
@@ -170,15 +170,8 @@ def finite_diff_metric(
         d = [(f(t + hh) - f(t - hh)) / (2.0 * hh) for hh in (h, h / 2)]
         return (4.0 * d[1] - d[0]) / 3.0
 
-    fr = derivative(lambda u: _log_sf(model, u))
-    if metric is MetricKind.FR:
-        return fr
-    if metric is MetricKind.AI:
-        return t * fr / _log_sf(model, t)
-    # RHR = f(t) / F(t) with the density from differencing the CDF.
-    sf_at = lambda u: _sf_value(series_hazard(model, u)[0])
-    density = -derivative(sf_at)
-    cdf = 1.0 - sf_at(t)
-    if cdf <= 0.0:
-        raise SingularityError(f"series CDF is 0 at t={t}; RHR undefined")
-    return density / cdf
+    sf = lambda u: _checked_sf(model, u)
+    if metric is MetricKind.RHR:  # f(t) / F(t), differencing the SF for f
+        return -derivative(sf) / (1.0 - sf(t))
+    fr = derivative(lambda u: -math.log(sf(u)))
+    return fr if metric is MetricKind.FR else t * fr / -math.log(sf(t))

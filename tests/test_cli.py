@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from deperr import MetricKind, simulate
+from deperr import (MetricKind, ModelSpec, parallel_sf_ie, simulate,
+                    validate_model)
 from deperr.cli import (
     EXIT_CAPABILITY,
     EXIT_CONFIG,
@@ -419,6 +420,26 @@ class TestOutput:
         data = base_config(tmp_path, command="simulate", samples=1000, seed=5)
         self.run_csv(tmp_path, data)  # 4 grid points, 3 rated subsets
         assert opened == [0, 1, 2]
+
+    def test_simulate_parallel_against_ie(self, tmp_path):
+        # the parallel analytic column is the IE sum, as parallel_sf_ie
+        # gives it, and each estimate lies within 4 standard errors of it
+        rates = {(1,): 0.4, (2,): 0.7, (3,): 1.1, (4,): 0.5,
+                 (1, 2): 0.3, (1, 2, 3, 4): 0.1}
+        data = base_config(tmp_path, n=4, rates=[
+            {"subset": list(s), "lambda": lam} for s, lam in rates.items()])
+        path = write_config(tmp_path, "parallel.json", data)
+        assert main(["simulate", "--model", str(path), "--structure",
+                     "parallel", "--grid", "0.5:2:4:log", "--samples", "20000",
+                     "--seed", "3"]) == EXIT_OK
+        m = validate_model(ModelSpec("MOME", 4, rates))
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[0] == "t,estimate,stderr,n,analytic" and len(lines) == 5
+        for line in lines[1:]:
+            t, estimate, stderr, n, analytic = line.split(",")
+            assert analytic == format(parallel_sf_ie(m, float(t)).sf_ie, ".17g")
+            assert n == "20000"
+            assert abs(float(estimate) - float(analytic)) <= 4 * float(stderr)
 
 
 class TestGolden:

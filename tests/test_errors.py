@@ -314,6 +314,35 @@ class TestClosedForms:
                                        rtol=1e-14)
         with pytest.raises(ZeroDenominatorError, match="no singleton"):
             closed_form_error(m, MetricKind.FR, 1.0)
+        with warnings.catch_warnings():  # MG1's a1 * t is 0 * inf at t = inf
+            warnings.simplefilter("error")
+            closed = closed_form_error(m, MetricKind.SF, np.array([0.5, math.inf]))
+        assert closed.tolist() == [closed_form_error(m, MetricKind.SF, t)
+                                   for t in (0.5, math.inf)]
+
+    @pytest.mark.parametrize("family", ["MOMW", "Crowder", "LeeII"])
+    def test_closed_sf_is_the_generic_sf(self, family, rng):
+        # One SF line, expm1(H_i - H_d), on the pairs that relative_error
+        # reads too, so bit for bit.  Not MG1: its H_i = a1 * t takes a1 as
+        # the left sum of its own term table, the counterpart's H_i its
+        # rates' fsum.
+        cases = 0
+        for n in range(1, 7):
+            for _ in range(3):
+                m = random_model(family, n, rng)
+                defined = []  # the t where the generic error is finite
+                for t in np.logspace(-3, 3, 25).tolist():
+                    try:
+                        generic = relative_error(m, MetricKind.SF, t)
+                    except ZeroDenominatorError:  # SF_i is 0, or -1 + inf
+                        continue
+                    assert closed_form_error(m, MetricKind.SF, t) == generic
+                    defined.append(t)
+                grid = np.array(defined)
+                assert closed_form_error(m, MetricKind.SF, grid).tolist() == (
+                    relative_error(m, MetricKind.SF, grid).tolist()), (n, m)
+                cases += 2 * len(defined)
+        assert cases > 600  # of 900
 
     @pytest.mark.parametrize(
         "family", ["MOME", "MG1", "MOMW", "Crowder", "LeeII", "LeeML"]

@@ -20,6 +20,7 @@ from deperr import (
     series_metric,
     validate_model,
 )
+from deperr import models
 from deperr.models import Family, mask_members
 from deperr.simulate import _BLOCK, _subset_stream
 
@@ -277,8 +278,22 @@ class TestFiniteDifference:
         assert finite_diff_metric(m, MetricKind.FR, 700.0) == pytest.approx(
             1.0, rel=1e-5
         )
-        with pytest.raises(SingularityError):
-            finite_diff_metric(m, MetricKind.FR, 740.0)
+        for metric in (MetricKind.FR, MetricKind.RHR, MetricKind.AI):
+            with pytest.raises(SingularityError, match="saturates"):
+                finite_diff_metric(m, metric, 740.0)
+
+    def test_kernel_evaluations_per_metric(self, monkeypatch):
+        # the four stencil points, and t for AI's H and RHR's CDF: RHR
+        # differences the SF alone, not FR's log SF as well
+        calls = []
+        kernel = models._kernel
+        monkeypatch.setattr(models, "_kernel",
+                            lambda model, t: calls.append(t) or kernel(model, t))
+        spec = ModelSpec("MOME", 2, {(1,): 1.0, (2,): 0.5, (1, 2): 0.3})
+        for metric, count in (("rhr", 5), ("fr", 4), ("ai", 5)):
+            calls.clear()
+            finite_diff_metric(validate_model(spec), metric, 1.3)
+            assert len(calls) == count, (metric, calls)
 
     def test_sf_not_supported(self, rng):
         m = random_model("MOME", 2, rng)
