@@ -112,8 +112,10 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     asserts.  t is a float, giving a float, or a 1-D array, giving an
     array, whose powers and sums run quietly, with expm1 per point.  Where
     t, or the hazard a form reads (lam * x for the MOME and LeeML RHR), is
-    inf or (Crowder/LeeII) 0, and where LeeML's t**alpha is 0, the error is
-    the generic one.  It is refused where inf or nan as relative_error's is.
+    inf or (Crowder/LeeII) 0, where LeeML's t**alpha is 0, and for FR, RHR
+    and AI where the counterpart's H_i' (MG1, MOMW) or singleton total s
+    (MOME, LeeML) is 0, the error is the generic one.  It is refused where
+    inf or nan as relative_error's is.
     """
     metric, t = _metric_kind(metric), _times(t)
     if isinstance(t, float):  # a Python float division overflows quietly
@@ -133,7 +135,8 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
         return None  # no closed form; use the generic combinator
     # The forms meet inf - inf and inf/inf where t or the hazard they read
     # (MOMW's H_d >= H_i, the MOME/LeeML RHR's lam * x) is inf, and 0/0 where
-    # the Crowder/LeeII H_d or LeeML's x = t**alpha is 0: generic there.
+    # the Crowder/LeeII H_d or LeeML's x = t**alpha is 0; every form but SF's
+    # needs the counterpart's H_i' or s > 0: generic there.
     if fam in (Family.MOME, Family.LEE_ML):  # H = lam * x, x = t or t**alpha
         if fam is Family.MOME:
             x, lam = t, model.rates.total
@@ -144,7 +147,8 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
             x = float(x) if isinstance(t, float) else x  # quiet: not np.float64
             lam, s = model._lee_total, model._indep._lee_total
         edge = ((t == math.inf) | (x == 0.0)  # RHR: expm1_ratio(inf, inf) is 1
-                | (metric is MetricKind.RHR) & (lam * x == math.inf))
+                | (metric is MetricKind.RHR) & (lam * x == math.inf)
+                | (metric is not MetricKind.SF) & (s == 0.0))
     else:  # the hazard pairs (hi, dhi) of the counterpart and (h, dh)
         if fam is Family.MG1:  # a1, the left sum of MG1's own term table
             dhi = sum(model.rates.singleton_vector.tolist())  # Python floats: quiet
@@ -153,7 +157,7 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
             hi, dhi = series_hazard(model._indep, t)  # IndepWeibull
         if fam in (Family.MG1, Family.MOMW):
             h, dh = series_hazard(model, t)
-            edge = h == math.inf
+            edge = (h == math.inf) | (metric is not MetricKind.SF) & (dhi == 0.0)
         else:  # Crowder and LeeII
             h = power_gap(model.gamma, hi, model.stable_exponent)  # H_d, or inf
             edge = (h == math.inf) | (h == 0.0)
@@ -165,8 +169,6 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
     if fam in (Family.MOME, Family.LEE_ML):
         if metric is MetricKind.SF:
             return each(_expm1, -x * (lam - s))
-        if s == 0.0:
-            raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
             return _fill(t, (lam - s) / s)
         if metric is MetricKind.RHR:
@@ -175,8 +177,6 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
     if metric is MetricKind.SF:
         return each(_expm1, hi - h)
     if fam in (Family.MG1, Family.MOMW):  # MOMW has no RHR or AI form
-        if _first_where(t, dhi == 0.0) is not None:
-            raise ZeroDenominatorError("model has no singleton rates")
         if metric is MetricKind.FR:
             return (dh - dhi) / dhi
         if metric is MetricKind.RHR:

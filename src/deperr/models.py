@@ -225,7 +225,7 @@ class ValidatedModel:
         if self.family is Family.LU_BI:
             return self.delta == 0.0
         return self.family in (Family.INDEP_EXP, Family.INDEP_WEIBULL) or (
-            self.family in (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
+            self.family in _REDUCE
             and all(mask.bit_count() == 1 for mask, _ in self.rates.items)
         )
 
@@ -360,9 +360,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         raise ValidationError(
             "rates: total rate exceeds the float range"
         ) from None
-    interacting = (Family.MOME, Family.MG1, Family.MOMW, Family.LEE_ML)
-    if family not in interacting and any(mask & (mask - 1)
-                                         for mask, _ in rates.items):
+    if family not in _REDUCE and any(mask & (mask - 1) for mask, _ in rates.items):
         raise ValidationError(
             f"rates: family {family.value} admits only singleton subsets"
         )
@@ -376,32 +374,27 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                 f"rates: component {i + 1} has zero total rate (n = {n})"
             )
 
-    shapes = None
+    params = {}  # the parameters the family takes, checked, by field name
     if family in (Family.INDEP_WEIBULL, Family.MOMW, Family.CROWDER,
                   Family.LEE_II, Family.LU_BI):
-        shapes = _positive_vector(spec.shapes, n, "shapes")
+        params["shapes"] = _positive_vector(spec.shapes, n, "shapes")
     elif spec.shapes is not None:
         raise ValidationError("shapes: not a parameter of this family")
 
-    gamma = stable_exponent = alpha = delta = m = None
-    scales = None
     if family in (Family.CROWDER, Family.LEE_II):
-        gamma = _param(spec.gamma if spec.gamma is not None else 0.0, "gamma",
-                       positive=False)
+        gamma = params["gamma"] = _param(
+            spec.gamma if spec.gamma is not None else 0.0, "gamma", positive=False)
         if spec.stable_exponent is None:
             raise ValidationError(f"{_L}: required for this family")
-        stable_exponent = _param(spec.stable_exponent, _L)
+        ell = params["stable_exponent"] = _param(spec.stable_exponent, _L)
         if family is Family.LEE_II:
             _require(gamma == 0.0, "gamma: must be 0 for the LeeII family")
-            _require(
-                stable_exponent <= 1,
-                f"{_L}: must be in (0, 1], got {stable_exponent}",
-            )
+            _require(ell <= 1, f"{_L}: must be in (0, 1], got {ell}")
     elif family is Family.LEE_ML:
         if spec.alpha is None:
             raise ValidationError("alpha: required for this family")
-        alpha = _param(spec.alpha, "alpha")
-        scales = _positive_vector(spec.scales, n, _C)
+        alpha = params["alpha"] = _param(spec.alpha, "alpha")
+        scales = params["scales"] = _positive_vector(spec.scales, n, _C)
         # c_i**alpha scales the hazard: inf or 0 would meet t**alpha as nan
         with np.errstate(over="ignore", under="ignore"):
             cpow = np.asarray(scales) ** alpha
@@ -409,28 +402,16 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                  f"alpha: c_i**alpha must be a positive finite float for "
                  f"every entry of {_C}, got alpha = {alpha}")
     elif family is Family.LU_BI:
-        delta = _param(spec.delta if spec.delta is not None else 0.0, "delta",
-                       positive=False)
-        m = _param(spec.m if spec.m is not None else 1.0, "m")
+        params["delta"] = _param(spec.delta if spec.delta is not None else 0.0,
+                                 "delta", positive=False)
+        params["m"] = _param(spec.m if spec.m is not None else 1.0, "m")
 
     for name in ("gamma", "stable_exponent", "alpha", "scales", "delta", "m"):
-        value = getattr(spec, name)
-        if value is not None and locals()[name] is None:
+        if getattr(spec, name) is not None and name not in params:
             label = {"stable_exponent": _L, "scales": _C}.get(name, name)
             raise ValidationError(f"{label}: not a parameter of this family")
 
-    return ValidatedModel(
-        family=family,
-        n=n,
-        rates=rates,
-        shapes=shapes,
-        gamma=gamma,
-        stable_exponent=stable_exponent,
-        alpha=alpha,
-        scales=scales,
-        delta=delta,
-        m=m,
-    )
+    return ValidatedModel(family=family, n=n, rates=rates, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +419,8 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
 # ---------------------------------------------------------------------------
 
 
-# A shock's reduce over its members, in the families with interaction shocks.
+# The families with interaction shocks, each with a shock's reduce over its
+# members: validation, `_is_product` and the joint hazard read these keys.
 _REDUCE = {Family.MOME: np.maximum, Family.MOMW: np.maximum,
            Family.LEE_ML: np.maximum, Family.MG1: np.multiply}
 

@@ -569,6 +569,14 @@ class TestMalformedConfig:
         if key == "n":
             assert "must be an integer >= 1" in err
 
+    @pytest.mark.parametrize("key", ["family", "n"])
+    def test_missing_model_key_exits_2(self, tmp_path, capsys, key):
+        data = base_config(tmp_path)
+        del data[key]
+        path = write_config(tmp_path, "bad.json", data)
+        assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
+        assert f"config error: {key}: missing" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rates", [
         [{"subset": [1], "lambda": math.inf}, {"subset": [2], "lambda": 1.0}],
         [{"subset": [1], "lambda": 1e308}, {"subset": [2], "lambda": 1e308}],

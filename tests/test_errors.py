@@ -312,13 +312,25 @@ class TestClosedForms:
             np.testing.assert_allclose(closed_form_error(m, MetricKind.SF, t),
                                        relative_error(m, MetricKind.SF, t),
                                        rtol=1e-14)
-        with pytest.raises(ZeroDenominatorError, match="no singleton"):
+        with pytest.raises(ZeroDenominatorError,
+                           match=r"independent-counterpart fr is 0 at t=1\.0"):
             closed_form_error(m, MetricKind.FR, 1.0)
         with warnings.catch_warnings():  # MG1's a1 * t is 0 * inf at t = inf
             warnings.simplefilter("error")
             closed = closed_form_error(m, MetricKind.SF, np.array([0.5, math.inf]))
         assert closed.tolist() == [closed_form_error(m, MetricKind.SF, t)
                                    for t in (0.5, math.inf)]
+
+    @pytest.mark.parametrize("t", [1e-300, np.array([1e-300, 1.0])],
+                             ids=["float", "array"])
+    def test_underflowed_counterpart_slope_is_generic(self, t):
+        # the model has singleton rates; only the counterpart's H_i' = 0
+        m = validate_model(ModelSpec("MOMW", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5},
+                                     shapes=(3.0, 2.5)))
+        for error in (closed_form_error, relative_error):
+            with pytest.raises(ZeroDenominatorError) as exc:
+                error(m, MetricKind.FR, t)
+            assert str(exc.value) == "independent-counterpart fr is 0 at t=1e-300"
 
     @pytest.mark.parametrize("family", ["MOMW", "Crowder", "LeeII"])
     def test_closed_sf_is_the_generic_sf(self, family, rng):
@@ -460,6 +472,16 @@ class TestCurvesAndClassification:
         m = mome({(1,): 1.0, (2,): 1.0})
         with pytest.raises(DomainError):
             error_curve(m, MetricKind.SF, [])
+
+    @pytest.mark.parametrize("grid,message", [
+        ([0.0, 1.0], "grid points must be strictly positive"),
+        ([2.0, 1.0], "grid points must be strictly increasing"),
+    ])
+    def test_bad_grid_named(self, grid, message):
+        m = mome({(1,): 1.0, (2,): 1.0})
+        with pytest.raises(DomainError) as exc:
+            error_curve(m, MetricKind.SF, grid)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("spacing,spaced", [("log", np.geomspace),
                                                 ("linear", np.linspace)])

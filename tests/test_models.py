@@ -34,6 +34,30 @@ def mome(rates, n=2):
     return validate_model(ModelSpec("MOME", n, rates))
 
 
+SINGLES = {(1,): 1.0, (2,): 1.0}
+SHOCK = {**SINGLES, (1, 2): 0.2}
+# a valid two-component spec of each family, with every parameter it takes
+VALID_PARAMS = {
+    "IndepExp": {"rates": SINGLES},
+    "MOME": {"rates": SHOCK},
+    "MG1": {"rates": SHOCK},
+    "IndepWeibull": {"rates": SINGLES, "shapes": (1.5, 2.0)},
+    "MOMW": {"rates": SHOCK, "shapes": (1.5, 2.0)},
+    "Crowder": {"rates": SINGLES, "shapes": (1.5, 2.0), "gamma": 0.5,
+                "stable_exponent": 0.5},
+    "LeeII": {"rates": SINGLES, "shapes": (1.5, 2.0), "gamma": 0.0,
+              "stable_exponent": 0.5},
+    "LeeML": {"rates": SHOCK, "alpha": 1.5, "scales": (1.0, 2.0)},
+    "LuBI": {"rates": SINGLES, "shapes": (1.5, 2.0), "delta": 0.5, "m": 1.5},
+}
+# a value of each parameter that a family taking it would accept
+PARAM_VALUES = {"shapes": (1.5, 2.0), "gamma": 0.5, "stable_exponent": 0.5,
+                "alpha": 1.5, "scales": (1.0, 2.0), "delta": 0.5, "m": 1.5}
+FOREIGN = [(family, field) for family, params in VALID_PARAMS.items()
+           for field in PARAM_VALUES if field not in params]
+assert len(FOREIGN) == 50
+
+
 class TestValidation:
     def test_indep_exp_valid(self):
         m = validate_model(ModelSpec("IndepExp", 2, {(1,): 1.0, (2,): 2.0}))
@@ -98,6 +122,42 @@ class TestValidation:
     def test_subset_index_out_of_range(self):
         with pytest.raises(ValidationError, match="outside"):
             mome({(1,): 1.0, (2,): 1.0, (1, 3): 0.5})
+
+    @pytest.mark.parametrize("rates,message", [
+        ({(1,): 1.0, (2,): 1.0, (1, 1.5): 0.5},
+         "rates: subset index 1.5 is not an integer"),
+        ({1: 1.0, 2: 1.0, 4: 0.5},
+         "rates[4]: bitmask outside nonempty subsets of 1..2"),
+        ({(1,): 1.0, (2,): 1.0, (): 0.5}, "rates[()]: empty subset"),
+        ([((1, 2), 1.0), ((2, 1), 0.5), ((1,), 1.0), ((2,), 1.0)],
+         "rates[(1, 2)]: duplicate subset"),
+    ], ids=["index", "bitmask", "empty", "duplicate"])
+    def test_malformed_subset_named(self, rates, message):
+        with pytest.raises(ValidationError) as exc:
+            mome(rates)
+        assert str(exc.value) == message
+
+    def test_bitmask_key_is_its_subset(self):
+        assert mome({1: 1.0, 2: 1.0, 3: 0.5}) == mome(
+            {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
+
+    @pytest.mark.parametrize("family", ["Crowder", "LeeII"])
+    def test_stable_exponent_required(self, family):
+        with pytest.raises(ValidationError) as exc:
+            validate_model(ModelSpec(family, 2, {(1,): 1.0, (2,): 1.0},
+                                     shapes=(1.0, 1.0)))
+        assert str(exc.value) == "stable_exponent (l): required for this family"
+
+    @pytest.mark.parametrize("family,field", FOREIGN)
+    def test_each_foreign_parameter_named(self, family, field):
+        spec = ModelSpec(family, 2, **VALID_PARAMS[family])
+        validate_model(spec)  # valid without the foreign field
+        setattr(spec, field, PARAM_VALUES[field])
+        with pytest.raises(ValidationError) as exc:
+            validate_model(spec)
+        label = {"stable_exponent": "stable_exponent (l)",
+                 "scales": "scales (c)"}.get(field, field)
+        assert str(exc.value) == f"{label}: not a parameter of this family"
 
 
 class TestJointSF:

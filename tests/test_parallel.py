@@ -22,6 +22,7 @@ from deperr import (
     series_metric,
     validate_model,
 )
+from deperr.exceptions import ZeroDenominatorError
 from deperr.models import _joint_hazard
 from deperr.parallel import (
     _conditioned_sf,
@@ -167,6 +168,16 @@ def test_t_nonpositive_rejected(rng):
     m = random_model("MOME", 2, rng)
     with pytest.raises(DomainError):
         parallel_sf_ie(m, 0.0)
+    with pytest.raises(DomainError) as exc:
+        parallel_sf_closed(m, -1.0)
+    assert str(exc.value) == "t must be > 0, got -1.0"
+
+
+def test_relative_error_refused_where_independent_sf_is_0():
+    m = validate_model(ModelSpec("MOME", 2, {(1,): 1.0, (2,): 1.0, (1, 2): 0.5}))
+    with pytest.raises(ZeroDenominatorError) as exc:
+        parallel_relative_error(m, 1e3)
+    assert str(exc.value) == "independent-counterpart parallel sf is 0 at t=1000.0"
 
 
 def reference_sf_ie(model, t):

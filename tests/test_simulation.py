@@ -164,6 +164,13 @@ class TestEstimates:
         with pytest.raises(DomainError):
             estimate_system_sf(m, "series", 1.0, 0)
 
+    def test_unknown_structure_rejected(self):
+        m = validate_model(ModelSpec("IndepExp", 1, {(1,): 1.0}))
+        with pytest.raises(DomainError) as exc:
+            estimate_system_sf(m, "star", 1.0, 10)
+        assert str(exc.value) == (
+            "structure must be 'series' or 'parallel', got 'star'")
+
     @pytest.mark.parametrize("family", ["MG1", "Crowder", "LuBI"])
     def test_unsamplable_families(self, family, rng):
         m = random_model(family, 2, rng)
@@ -299,3 +306,9 @@ class TestFiniteDifference:
         m = random_model("MOME", 2, rng)
         with pytest.raises(DomainError):
             finite_diff_metric(m, MetricKind.SF, 1.0)
+
+    def test_t_nonpositive_rejected(self, rng):
+        m = random_model("MOME", 2, rng)
+        with pytest.raises(DomainError) as exc:
+            finite_diff_metric(m, MetricKind.FR, 0.0)
+        assert str(exc.value) == "t must be > 0, got 0.0"
