@@ -17,6 +17,8 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -241,17 +243,17 @@ def emit_config(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return "" if value is None else str(value)
+@cache
+def _row_pattern(kinds: tuple[type, ...]) -> str:
+    """A row's `%` pattern, so that `_csv` formats a table with one `%`: a
+    float (np.float64 too) to 17 significant digits, None empty, else str."""
+    return ",".join(["%.17g" if issubclass(k, float) else "%.0s"  # None: no text
+                     if k is type(None) else "%s" for k in kinds]) + "\n"
 
 
 def _csv(header: list[str], rows: list) -> str:
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    pattern = "".join([_row_pattern(tuple(map(type, row))) for row in rows])
+    return ",".join(header) + "\n" + pattern % tuple(chain.from_iterable(rows))
 
 
 def _run_eval(config: RunConfig) -> str:
@@ -266,16 +268,13 @@ def _run_errors(config: RunConfig) -> str:
     metrics = [config.metric] if config.metric else list(MetricKind)
     rows = []
     for metric in metrics:
-        points = error_curve(config.model, metric, config.grid).points
-        defined = [p.t for p in points if p.rel_err is not None]
+        c = error_curve(config.model, metric, config.grid)
+        defined = [t for t, e in zip(c.t, c.rel_err) if e is not None]
         closed = (closed_form_error(config.model, metric, np.array(defined))
                   if defined else None)
         closed = iter([] if closed is None else closed.tolist())
-        for p in points:
-            rows.append([
-                p.t, metric.value, p.dep, p.indep, p.rel_err,
-                next(closed, None) if p.rel_err is not None else None,
-            ])
+        rows += zip(c.t, [metric.value] * len(c.t), c.dep, c.indep, c.rel_err,
+                    [None if e is None else next(closed, None) for e in c.rel_err])
     return _csv(["t", "metric", "dep", "indep", "rel_err", "closed_form_err"],
                 rows)
 
@@ -285,7 +284,7 @@ def _run_classify(config: RunConfig) -> str:
     return _csv(
         ["frclass", "fraclass", "aiclass", "fr_constant", "ai_constant"],
         [[verdict.frclass, verdict.fraclass, verdict.aiclass,
-          verdict.fr_constant, verdict.ai_constant]],
+          str(verdict.fr_constant).lower(), str(verdict.ai_constant).lower()]],
     )
 
 

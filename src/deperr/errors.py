@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -220,7 +221,7 @@ def lemma_h(beta: float, gamma: float, alpha: float, x: float) -> float:
 
 
 class ErrorPoint(NamedTuple):
-    """One grid point of an error curve (a tuple: one is built per point).
+    """One grid point of an error curve, as `ErrorCurve.points` gives it.
 
     dep and indep are None where that side's metric is undefined (RHR and
     AI where H <= 0, AI where H = inf); rel_err is None there too, and
@@ -235,8 +236,17 @@ class ErrorPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class ErrorCurve:
+    """An error curve by column; `points` zips it into rows when first read."""
+
     metric: MetricKind
-    points: tuple[ErrorPoint, ...]
+    t: tuple[float, ...]
+    dep: tuple[float | None, ...]
+    indep: tuple[float | None, ...]
+    rel_err: tuple[float | None, ...]
+
+    @cached_property
+    def points(self) -> tuple[ErrorPoint, ...]:
+        return tuple(map(ErrorPoint, self.t, self.dep, self.indep, self.rel_err))
 
 
 def error_curve(
@@ -245,7 +255,7 @@ def error_curve(
     """Pointwise relative error with the raw dependent/independent values.
 
     A value that :func:`series_metric` or :func:`relative_error` refuses
-    is None in its :class:`ErrorPoint`, not raised.
+    is None in its column, not raised.
     """
     metric = MetricKind(metric)
     pts = grid_points(grid, minimum=1)
@@ -257,14 +267,13 @@ def error_curve(
         top = math.inf if metric is MetricKind.RHR else np.finfo(float).max
         sides = [[np.where((h > 0.0) & (h <= top), x, math.nan) for x in (h, dh)]
                  for h, dh in sides]
-    (h_dep, dh_dep), (h_ind, dh_ind) = sides
-    dep = _metric_values(metric, pts, h_dep, dh_dep).tolist()
-    ind = _metric_values(metric, pts, h_ind, dh_ind).tolist()
-    err = each(_ERROR_FROM_HAZARDS[metric], h_dep, dh_dep, h_ind, dh_ind)
-    return ErrorCurve(metric=metric, points=tuple(
-        ErrorPoint(t, d if d == d else None, i if i == i else None,
-                   e if i != 0.0 and math.isfinite(e) else None)
-        for t, d, i, e in zip(pts.tolist(), dep, ind, err.tolist())))
+    dep, ind = (tuple([v if v == v else None  # nan: that side is undefined
+                       for v in _metric_values(metric, pts, *side).tolist()])
+                for side in sides)
+    err = each(_ERROR_FROM_HAZARDS[metric], *sides[0], *sides[1])
+    return ErrorCurve(metric, tuple(pts.tolist()), dep, ind, tuple([
+        e if i != 0.0 and math.isfinite(e) else None  # i None where nan
+        for i, e in zip(ind, err.tolist())]))
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,17 @@ class GridSpec:
             raise DomainError(f"grid.spacing: must be one of {SPACINGS}")
 
     def points(self) -> np.ndarray:
-        """The grid's times as a float array.  One point is `[start]`, as
-        numpy's spaced grids give it, without their fixed cost."""
+        """The grid's times as a float array, as numpy's spaced grids give
+        them (a log grid by np.geomspace's arithmetic), without their set-up."""
         if self.count == 1:
             return np.array([self.start], dtype=float)
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        if self.spacing == "linear":
+            return np.linspace(self.start, self.stop, self.count)
+        with np.errstate(over="ignore"):  # the pinned stop replaces an inf
+            pts = 10.0 ** np.linspace(np.log10(self.start), np.log10(self.stop),
+                                      self.count)
+        pts[0], pts[-1] = self.start, self.stop
+        return pts
 
 
 GridLike = Union[GridSpec, Iterable[float]]

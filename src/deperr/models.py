@@ -105,8 +105,12 @@ class SubsetRates:
         """Canonicalize a subset -> rate mapping, or (subset, rate) pairs."""
         canonical: dict[int, float] = {}
         pairs = rates.items() if isinstance(rates, Mapping) else rates
+        try:  # pairs of two, each key an int bitmask or an iterable of indices
+            pairs = [(k, v) for k, v in pairs if is_integer(k) or iter(k)]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"rates: not (subset, rate) pairs: {exc}") from None
         for key, value in pairs:
-            if isinstance(key, (int, np.integer)):
+            if is_integer(key):
                 mask = int(key)
                 if mask <= 0 or mask >= (1 << n):
                     raise ValidationError(

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from deperr.cli import (
     RunConfig,
     _GRID_KEYS,
     _RUN_KEYS,
+    _csv,
     build_config,
     emit_config,
     main,
@@ -356,6 +358,28 @@ class TestOutput:
         assert float(row[4]) == pytest.approx(0.25)  # 2.5/2 - 1
         assert float(row[5]) == pytest.approx(0.25)
 
+    def test_errors_without_metric_is_each_metric_in_turn(self, tmp_path):
+        # the CI's MOMW shapes-60 model: blank cells on every metric
+        data = base_config(
+            tmp_path, family="MOMW", command="errors",
+            rates=[{"subset": [1], "lambda": 1.0},
+                   {"subset": [2], "lambda": 1.0},
+                   {"subset": [1, 2], "lambda": 0.5}],
+            shapes=[60.0, 60.0],
+            grid={"start": 1e-6, "stop": 1e3, "count": 30, "spacing": "log"},
+        )
+        path = write_config(tmp_path, "run.json", data)
+        assert main(["errors", "--model", str(path)]) == EXIT_OK
+        every = (tmp_path / "out.csv").read_text().splitlines()
+        each = []
+        for metric in MetricKind:
+            assert main(["errors", "--model", str(path), "--metric",
+                         metric.value]) == EXIT_OK
+            lines = (tmp_path / "out.csv").read_text().splitlines()
+            assert lines[0] == every[0] and ",," in "\n".join(lines)
+            each += lines[1:]
+        assert every[1:] == each
+
     def test_classify_row(self, tmp_path):
         data = base_config(tmp_path, command="classify")
         data["grid"] = {"start": 0.1, "stop": 10.0, "count": 20,
@@ -440,6 +464,57 @@ class TestOutput:
             assert analytic == format(parallel_sf_ie(m, float(t)).sf_ie, ".17g")
             assert n == "20000"
             assert abs(float(estimate) - float(analytic)) <= 4 * float(stderr)
+
+
+def _fmt_reference(value) -> str:
+    """The CSV cell rule, one call per cell: the reference that `_csv`,
+    which formats a whole table with one `%`, must match byte for byte."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _csv_reference(header: list[str], rows: list) -> str:
+    lines = [",".join(header)] + [",".join(map(_fmt_reference, row))
+                                  for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_MAX = float(np.finfo(float).max)
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072009e-308, 2.2250738585072014e-308, _MAX, -_MAX,
+                0.1, 1 / 3, 1e16, 123456789012345680.0]
+_CELLS = st.one_of(
+    st.floats(), st.sampled_from(_EDGE_FLOATS), st.none(),
+    st.floats().map(np.float64), st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.integers(), st.text(), st.sampled_from(["sf", "IFRA", "%s", "%", ""]),
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(0, 7))
+    header = draw(st.lists(st.text(), min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width)
+                         .map(draw(st.sampled_from([list, tuple]))),
+                         max_size=12))
+    return header, rows
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    @example((["t", "sf"], []))
+    @example(([], []))
+    @example(([], [[], []]))
+    @example((["a", "b", "c"], [(None, 1.0, "x"), (1.0, None, None),
+                                (None, None, None), (-0.0, np.float64(5e-324),
+                                                     7)]))
+    def test_csv_is_the_per_cell_rule(self, table):
+        header, rows = table
+        assert _csv(header, rows) == _csv_reference(header, rows)
 
 
 class TestGolden:

@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deperr import (
     DomainError,
+    ErrorPoint,
     GridSpec,
     MetricKind,
     ModelSpec,
@@ -30,6 +31,9 @@ from deperr.exceptions import (
     SingularityError,
     ZeroDenominatorError,
 )
+from deperr.errors import _ERROR_FROM_HAZARDS
+from deperr.grids import MAX_POINTS
+from deperr.models import _metric_values
 from deperr.simulate import finite_diff_metric
 
 from conftest import ALL_FAMILIES, random_model
@@ -496,6 +500,35 @@ class TestCurvesAndClassification:
             want = spaced(a, b, 1)
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0, 1e300, exclude_min=True).flatmap(lambda ratio: st.tuples(
+        st.floats(1e-300, min(1e300, 1e308 / ratio)), st.just(ratio),
+        st.integers(2, 2000))))
+    @example((1e-3, 1e6, MAX_POINTS))
+    @example((1e-150, 1e300, 1000))
+    def test_log_grid_is_geomspace_bit_for_bit(self, grid):
+        start, ratio, count = grid
+        stop = start * ratio
+        assume(start < stop)  # a ratio within an ulp of 1 rounds away
+        got = GridSpec(start, stop, count, "log").points()
+        want = np.geomspace(start, stop, count)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("ulps", [0, 1, 2, 20])
+    def test_log_grid_to_the_float_max_is_quiet(self, ulps):
+        # 10**log10(stop) rounds past the float max before the end is
+        # pinned: numpy's overflow warning was a traceback under -W error
+        stop = float(np.finfo(float).max)
+        for _ in range(ulps):
+            stop = math.nextafter(stop, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = GridSpec(1.0, stop, 3, "log").points()
+        with np.errstate(over="ignore"):
+            want = np.geomspace(1.0, stop, 3)
+        assert got.tobytes() == want.tobytes()
+        assert got[-1] == stop and np.isfinite(got).all()
+
     def test_classify_indep_exp(self):
         m = validate_model(ModelSpec("IndepExp", 2, {(1,): 1.0, (2,): 2.0}))
         verdict = classify_aging(m, np.geomspace(0.1, 10, 20))
@@ -626,6 +659,45 @@ class TestArrays:
                 for t in (1e-200, np.array([1.0, 1e-200])):
                     with pytest.raises(SingularityError, match="t=1e-200"):
                         fn(m, metric, t)
+
+    # MOMW models with shape 60 whose curves have blank cells on every
+    # metric: an FR error beyond the float range, hazards that underflow
+    SHAPES_60 = [({(1,): 1.0, (1, 2): 0.5}, (60.0, 0.5)),
+                 ({(1,): 1.0, (2,): 1.0, (1, 2): 0.5}, (60.0, 60.0))]
+
+    @staticmethod
+    def rows_by_point(model, metric, grid):
+        """The reference: error_curve's blank-cell rule, one ErrorPoint per
+        grid point."""
+        pts = np.asarray(grid, dtype=float)
+        sides = series_hazard(model, pts), series_hazard(model._indep, pts)
+        if metric in (MetricKind.RHR, MetricKind.AI):
+            top = math.inf if metric is MetricKind.RHR else np.finfo(float).max
+            sides = [[np.where((h > 0.0) & (h <= top), x, math.nan)
+                      for x in (h, dh)] for h, dh in sides]
+        (h_dep, dh_dep), (h_ind, dh_ind) = sides
+        dep = _metric_values(metric, pts, h_dep, dh_dep).tolist()
+        ind = _metric_values(metric, pts, h_ind, dh_ind).tolist()
+        err = [_ERROR_FROM_HAZARDS[metric](*x) for x in zip(
+            h_dep.tolist(), dh_dep.tolist(), h_ind.tolist(), dh_ind.tolist())]
+        return tuple(
+            ErrorPoint(t, d if d == d else None, i if i == i else None,
+                       e if i != 0.0 and math.isfinite(e) else None)
+            for t, d, i, e in zip(pts.tolist(), dep, ind, err))
+
+    @pytest.mark.parametrize("rates,shapes", SHAPES_60, ids=["fr", "ai"])
+    def test_curve_points_are_its_columns(self, rates, shapes):
+        m = validate_model(ModelSpec("MOMW", 2, rates, shapes=shapes))
+        grid = np.concatenate([[1e-6, 4.5e-6], np.geomspace(1e-5, 1e3, 40)])
+        for metric in METRICS:
+            curve = error_curve(m, metric, grid)
+            assert None in curve.rel_err
+            assert curve.points == tuple(map(ErrorPoint, curve.t, curve.dep,
+                                             curve.indep, curve.rel_err))
+            assert curve.points == self.rows_by_point(m, metric, grid)
+            again = error_curve(m, metric, grid)
+            assert again == curve and hash(again) == hash(curve)
+            assert again != error_curve(m, metric, grid[1:])
 
     @pytest.mark.parametrize("metric", [MetricKind.RHR, MetricKind.AI])
     def test_error_curve_blanks_an_underflowed_hazard(self, metric):

@@ -137,6 +137,17 @@ class TestValidation:
             mome(rates)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("rates", [
+        5, [(1.5, 1.0)], [(None, 1.0)], {1.5: 1.0},  # no pairs, no subset
+        "ab", [(1, 2, 3)], [((1,),)],  # a pair that is not two
+        [(True, 1.0)],  # a bool is not a bitmask, as it is not an index
+    ], ids=["int", "float-key", "none-key", "float-mapping-key", "str",
+            "triple", "single", "bool-key"])
+    def test_malformed_rates_named(self, rates):
+        with pytest.raises(ValidationError, match=r"^rates: not \(subset, "
+                                                  r"rate\) pairs: "):
+            validate_model(ModelSpec("MOME", 2, rates))
+
     def test_bitmask_key_is_its_subset(self):
         assert mome({1: 1.0, 2: 1.0, 3: 0.5}) == mome(
             {(1,): 1.0, (2,): 1.0, (1, 2): 0.5})
