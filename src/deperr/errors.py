@@ -113,10 +113,10 @@ def closed_form_error(model: ValidatedModel, metric: MetricKind, t):
     asserts.  t is a float, giving a float, or a 1-D array, giving an
     array, whose powers and sums run quietly, with expm1 per point.  Where
     t, or the hazard a form reads (lam * x for the MOME and LeeML RHR), is
-    inf or (Crowder/LeeII) 0, where LeeML's t**alpha is 0, and for FR, RHR
-    and AI where the counterpart's H_i' (MG1, MOMW) or singleton total s
-    (MOME, LeeML) is 0, the error is the generic one.  It is refused where
-    inf or nan as relative_error's is.
+    inf or (Crowder/LeeII) 0, where LeeML's t**alpha is 0 (SF, RHR, AI),
+    and for FR, RHR and AI where the counterpart's H_i' (MG1, MOMW) or
+    singleton total s (MOME, LeeML) is 0, the error is the generic one.
+    It is refused where inf or nan as relative_error's is.
     """
     metric, t = _metric_kind(metric), _times(t)
     if isinstance(t, float):  # a Python float division overflows quietly
@@ -134,10 +134,11 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
     if fam is Family.LU_BI or (
             fam is Family.MOMW and metric in (MetricKind.RHR, MetricKind.AI)):
         return None  # no closed form; use the generic combinator
-    # The forms meet inf - inf and inf/inf where t or the hazard they read
-    # (MOMW's H_d >= H_i, the MOME/LeeML RHR's lam * x) is inf, and 0/0 where
-    # the Crowder/LeeII H_d or LeeML's x = t**alpha is 0; every form but SF's
-    # needs the counterpart's H_i' or s > 0: generic there.
+    # The forms meet inf - inf and inf/inf where t or the hazard they read is
+    # inf (MOMW's H_d >= H_i; the MOME/LeeML RHR's lam * x, as expm1_ratio(inf,
+    # inf) is 1), and 0/0 where the Crowder/LeeII H_d or LeeML's x = t**alpha
+    # is 0 (FR's form reads no x); every form but SF's needs the counterpart's
+    # H_i' or s > 0 (LeeML's H_i' may underflow where s > 0): generic there.
     if fam in (Family.MOME, Family.LEE_ML):  # H = lam * x, x = t or t**alpha
         if fam is Family.MOME:
             x, lam = t, model.rates.total
@@ -147,9 +148,11 @@ def _closed_form(model: ValidatedModel, metric: MetricKind, t):
                 x = np.power(t, model.alpha)
             x = float(x) if isinstance(t, float) else x  # quiet: not np.float64
             lam, s = model._lee_total, model._indep._lee_total
-        edge = ((t == math.inf) | (x == 0.0)  # RHR: expm1_ratio(inf, inf) is 1
+        edge = ((t == math.inf) | (metric is not MetricKind.FR) & (x == 0.0)
                 | (metric is MetricKind.RHR) & (lam * x == math.inf)
                 | (metric is not MetricKind.SF) & (s == 0.0))
+        if fam is Family.LEE_ML and metric is MetricKind.FR:
+            edge = edge | (series_hazard(model._indep, t)[1] == 0.0)
     else:  # the hazard pairs (hi, dhi) of the counterpart and (h, dh)
         if fam is Family.MG1:  # a1, the left sum of MG1's own term table
             dhi = sum(model.rates.singleton_vector.tolist())  # Python floats: quiet
@@ -285,7 +288,6 @@ class AgingClass:
     aiclass: str  # "IAI" | "DAI" | "neither"
     fr_constant: bool
     ai_constant: bool
-    evidence_grid: tuple[float, ...]
 
 
 def _monotone_verdict(values: np.ndarray, up: str, down: str) -> tuple[str, bool]:
@@ -324,11 +326,4 @@ def classify_aging(model: ValidatedModel, grid: GridLike) -> AgingClass:
     else:
         fraclass = "neither"
 
-    return AgingClass(
-        frclass=frclass,
-        fraclass=fraclass,
-        aiclass=aiclass,
-        fr_constant=fr_constant,
-        ai_constant=ai_constant,
-        evidence_grid=tuple(pts.tolist()),
-    )
+    return AgingClass(frclass, fraclass, aiclass, fr_constant, ai_constant)

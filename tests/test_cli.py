@@ -71,6 +71,15 @@ class TestConfigParsing:
             again = parse_config(echoed)
             assert emit_config(again) == emit_config(config)
 
+    def test_round_trip_with_run_options(self, tmp_path):
+        data = base_config(tmp_path, command="simulate", metric="rhr",
+                           samples=100, seed=7, structure="parallel")
+        config = parse_config(write_config(tmp_path, "run.json", data))
+        echoed = tmp_path / "echo.json"
+        echoed.write_text(emit_config(config))
+        assert parse_config(echoed) == config
+        assert json.loads(echoed.read_text()) == json.loads(json.dumps(data))
+
     def test_model_dict_round_trip(self):
         data = {
             "family": "LeeML",
@@ -680,6 +689,23 @@ class TestMalformedConfig:
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("content", ["[]", "null", "3", '"eval"'])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        assert main(["eval", "--model", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: config must be a JSON object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", ["1:2:3", "1:2:3:cubic", "a:2:3:log"])
+    def test_malformed_grid_flag_exits_2(self, tmp_path, capsys, grid):
+        path = write_config(tmp_path, "ok.json", base_config(tmp_path))
+        assert main(["eval", "--model", str(path), "--grid", grid]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: --grid" in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_parse_config_rejects_same_values(self, tmp_path):
         # the file path and the flag path run the same checks

@@ -215,6 +215,17 @@ class TestClosedForms:
         assert closed_form_error(m, MetricKind.FR, np.array([0.5, 2.0])
                                  ).tolist() == [(lam - s) / s] * 2
 
+    def test_lee_ml_fr_where_t_to_the_alpha_underflows(self):
+        # t**60 underflows to 0 at t = 3.98e-6, but the FR form does not
+        # read it: the generic FR there is 1.1e-8 off, as H_i' is subnormal
+        m = validate_model(ModelSpec("LeeML", 2, {(1,): 1.0, (2,): 1.0,
+                                                  (1, 2): 0.5},
+                                     alpha=60.0, scales=(1.0, 1.01)))
+        lam, s = m._lee_total, m._indep._lee_total
+        assert closed_form_error(m, MetricKind.FR, 3.98e-6) == (lam - s) / s
+        assert closed_form_error(m, MetricKind.FR, np.array([3.98e-6, 1.0])
+                                 ).tolist() == [(lam - s) / s] * 2
+
     @pytest.mark.parametrize("spec,t", [
         (ModelSpec("LeeML", 2, {(1,): 0.5, (2,): 0.5}, alpha=1e300,
                    scales=(1.0, 1.0)), 1.5),  # t**alpha is inf
@@ -549,6 +560,18 @@ class TestCurvesAndClassification:
         verdict = classify_aging(m, np.geomspace(0.1, 10, 20))
         assert verdict.fraclass == "DFRA"
         assert verdict.frclass == "DFR"
+
+    def test_classify_mixed_weibull_is_neither(self):
+        # a falling and a rising hazard: FR dips and climbs again, and AI
+        # crosses 1, while AI itself only climbs
+        m = validate_model(
+            ModelSpec("IndepWeibull", 2, {(1,): 1.0, (2,): 1.0},
+                      shapes=(0.5, 3.0))
+        )
+        verdict = classify_aging(m, GridSpec(0.01, 10.0, 50))
+        assert (verdict.frclass, verdict.fraclass, verdict.aiclass) == (
+            "neither", "neither", "IAI")
+        assert not verdict.fr_constant and not verdict.ai_constant
 
     def test_classify_needs_three_points(self):
         m = mome({(1,): 1.0, (2,): 1.0})
