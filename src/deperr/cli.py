@@ -16,7 +16,7 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -61,8 +61,6 @@ _MODEL_FIELDS = (("shapes", "shapes"), ("gamma", "gamma"),
                  ("stable_exponent", "l"), ("alpha", "alpha"), ("scales", "c"),
                  ("delta", "delta"), ("m", "m"))
 _MODEL_KEYS = {"family", "n", "rates", *(key for _, key in _MODEL_FIELDS)}
-_RUN_KEYS = _MODEL_KEYS | {"command", "grid", "metric", "samples", "seed",
-                           "structure", "output"}
 _GRID_KEYS = {"start", "stop", "count", "spacing"}
 # bounds run time; simulate draws in blocks, so memory does not grow
 MAX_SAMPLES = 10**8
@@ -98,17 +96,26 @@ class RunConfig:
             raise ConfigError("samples: missing (simulate requires it)")
 
 
+# a run config's keys: the model's, then RunConfig's own
+_RUN_KEYS = _MODEL_KEYS | {f.name for f in fields(RunConfig)} - {"model"}
+
+
+def _object(data, name: str, keys: set, required=(), prefix: str = "") -> dict:
+    """`data` if a JSON object `name` of `keys` holding each `required` key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(data) - keys
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s): {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{prefix}{key}: missing")
+    return data
+
+
 def model_from_dict(data: dict) -> ValidatedModel:
     """Build and validate a model from its JSON representation."""
-    if not isinstance(data, dict):
-        raise ConfigError("model config must be a JSON object")
-    unknown = set(data) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown model key(s): {sorted(unknown)}")
-    if "family" not in data:
-        raise ConfigError("family: missing")
-    if "n" not in data:
-        raise ConfigError("n: missing")
+    _object(data, "model", _MODEL_KEYS, ("family", "n"))
     rates = data.get("rates", [])
     if not isinstance(rates, list) or not all(
         isinstance(e, dict) and set(e) == {"subset", "lambda"}
@@ -146,70 +153,35 @@ def model_to_dict(model: ValidatedModel) -> dict:
     return out
 
 
-def _grid_from_dict(data: dict) -> GridSpec:
-    """The config's grid object as a GridSpec: the one place one is built."""
-    if not isinstance(data, dict):
-        raise ConfigError("grid: must be an object")
-    unknown = set(data) - _GRID_KEYS
-    if unknown:
-        raise ConfigError(f"grid: unknown key(s): {sorted(unknown)}")
-    for key in ("start", "stop", "count"):
-        if key not in data:
-            raise ConfigError(f"grid.{key}: missing")
-    try:
-        return GridSpec(
-            start=_real(data["start"], "grid.start"),
-            stop=_real(data["stop"], "grid.stop"),
-            count=data["count"],
-            spacing=data.get("spacing", "log"),
-        )
-    except (DomainError, ValidationError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _metric_from(name) -> MetricKind | None:
-    if name is None:
-        return None
-    try:
-        return MetricKind(name)
-    except ValueError:
-        raise ConfigError(f"metric: unknown metric {name!r}") from None
-
-
-def _read_config(path) -> dict:
-    """The JSON object in the config file at `path`."""
+def _read_config(path):
+    """The JSON value in the config file at `path`."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
 
 
-def _config_from_dict(data: dict) -> RunConfig:
-    """Check every key of a config dict and build the RunConfig."""
-    unknown = set(data) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    for key in ("command", "grid", "output"):
-        if key not in data:
-            raise ConfigError(f"{key}: missing")
+def _config_from_dict(data) -> RunConfig:
+    """A config dict as a RunConfig: check the model, grid, metric, then it."""
+    _object(data, "config", _RUN_KEYS, ("command", "grid", "output"))
     model = model_from_dict({k: v for k, v in data.items() if k in _MODEL_KEYS})
-    return RunConfig(
-        command=data["command"],
-        model=model,
-        grid=_grid_from_dict(data["grid"]),
-        output=data["output"],
-        metric=_metric_from(data.get("metric")),
-        samples=data.get("samples"),
-        seed=data.get("seed"),
-        structure=data.get("structure", "series"),
-    )
+    run = {k: v for k, v in data.items() if k not in _MODEL_KEYS}
+    grid = _object(run["grid"], "grid", _GRID_KEYS, ("start", "stop", "count"),
+                   "grid.")
+    try:
+        run["grid"] = GridSpec(**(grid | {k: _real(grid[k], f"grid.{k}")
+                                          for k in ("start", "stop")}))
+        if run.get("metric") is not None:
+            run["metric"] = MetricKind(run["metric"])
+    except (DomainError, ValidationError) as exc:
+        raise ConfigError(str(exc)) from exc
+    except ValueError:  # MetricKind's, for a name it does not know
+        raise ConfigError(f"metric: unknown metric {run['metric']!r}") from None
+    return RunConfig(model=model, **run)
 
 
 def parse_config(path) -> RunConfig:
@@ -220,21 +192,12 @@ def parse_config(path) -> RunConfig:
 def emit_config(config: RunConfig) -> str:
     """Serialize a RunConfig to canonical JSON; parse_config round-trips it."""
     data = model_to_dict(config.model)
-    data["command"] = config.command
-    data["grid"] = {
-        "start": config.grid.start,
-        "stop": config.grid.stop,
-        "count": config.grid.count,
-        "spacing": config.grid.spacing,
-    }
-    if config.metric is not None:
-        data["metric"] = config.metric.value
-    if config.samples is not None:
-        data["samples"] = config.samples
-    if config.seed is not None:
-        data["seed"] = config.seed
-    data["structure"] = config.structure
-    data["output"] = config.output
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.name != "model" and value is not None:
+            data[field.name] = (asdict(value) if isinstance(value, GridSpec)
+                                else value.value if isinstance(value, MetricKind)
+                                else value)
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -371,7 +334,7 @@ def build_config(argv: list[str]) -> RunConfig:
     """The config file's keys, each overridden by its flag when given."""
     flags = vars(_PARSER.parse_args(argv))
 
-    data = _read_config(flags.pop("model"))
+    data = _object(_read_config(flags.pop("model")), "config", _RUN_KEYS)
     if flags["grid"] is not None:
         flags["grid"] = _parse_grid_arg(flags["grid"])
     data.update((key, value) for key, value in flags.items()
