@@ -19,7 +19,6 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cache
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -156,7 +155,8 @@ def model_to_dict(model: ValidatedModel) -> dict:
 def _read_config(path):
     """The JSON value in the config file at `path`."""
     try:
-        text = Path(path).read_text()
+        with open(path) as file:  # Path.read_text would build a Path each run
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
