@@ -8,14 +8,14 @@ every n.  A mask is a low half of L = min(n, 12) bits and a high half of
 the rest, perhaps none (meet in the middle; Horowitz and Sahni 1974): the
 joint-hazard kernel's parts are taken on each half and joined per chunk of
 high masks, so a pass's temporaries stay at one chunk whatever n is.  Up
-to 12 components the one chunk is the kernel's batch of all 2^n points.
+to 12 components the low half is the pass: one batch of all 2^n points.
 
 Compact forms, the families' own algebra apart from the kernel, check that
 value.  `_conditioned_sf` conditions on the r interaction shocks (rated
 subsets of size >= 2; Marshall and Olkin 1967): at most 2^r states, a table
 under 2 MB at r = 13, no cancellation.  It serves IndepExp, MOME with r <=
-min(max(n - 3, 0), 13) (a rule timed at n <= 16 only), and with r = 0 the
-independent side of every relative error, each counterpart a product model.
+min(max(n - 3, 0), 13), and with no shock the independent side of every
+relative error, on the model's own singleton rates and theta: no counterpart.
 MG1, and MOME with more shocks, sum over the subsets by shock incidence,
 on masks and signs of their own.
 """
@@ -95,22 +95,27 @@ def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _hazard_chunks(model: ValidatedModel, x: np.ndarray):
     """(H_S, (-1)^(|S| + 1)) over the nonempty subsets S in chunks of
     consecutive masks from 1, H_S the joint hazard at x on S's members and
-    0 elsewhere.  Per chunk of `_ROWS` high masks, each `_parts` of the high
-    half (rows,) is joined to the low half's (2^L,), L = min(n, 12), by
-    np.add (the singleton sums, LuBI's u) or the family's `_REDUCE` (a
-    shock's), and a part one half holds none of (None) is the other's.
-    Every component is in a rated subset, so above 12 components a part
-    spans the rows."""
+    0 elsewhere.  The low half's `_parts` (2^L,), L = min(n, 12), are taken
+    once per pass, and are the pass up to 12 components.  Above, per chunk
+    of `_ROWS` high masks, each `_parts` of the high half (rows,) is joined
+    to them by np.add (the singleton sums, LuBI's u) or the family's
+    `_REDUCE` (a shock's), a part one half holds none of (None) being the
+    other's.  Every component is in a rated subset: a part spans the masks."""
     n, join = model.n, _REDUCE.get(model.family, np.add)
     bits = min(n, _HALF)
     (index, signs), (top_index, tops) = _subsets(bits), _subsets(n - bits)
+    with _quiet(model):
+        # each coordinate with a 0 appended, which an index of -1 picks
+        ends = [np.append(c, 0.0) for c in _coordinates(model, x)]
+        low = list(_parts(model, [e[index] for e in ends]))
+        whole = _combine(model, iter(low)) if n == bits else None
+    if whole is not None:  # mask 0 heads the pass
+        yield whole[1:], signs[1:]
+        return
     for start in range(0, tops.size, _ROWS):
         top = slice(start, start + _ROWS)
         with _quiet(model):
-            # each coordinate with a 0 appended, which an index of -1 picks
-            ends = [np.append(c, 0.0) for c in _coordinates(model, x)]
             high = _parts(model, [e[bits:][top_index[top]] for e in ends], bits)
-            low = _parts(model, [e[index] for e in ends])
             joined = (lo if hi is None else hi[:, None] if lo is None
                       else ufunc(hi[:, None], lo)
                       for ufunc, hi, lo in zip(chain([np.add], repeat(join)), high, low))
@@ -171,14 +176,14 @@ def _log1mexp(x: float) -> float:
             else math.log1p(-math.exp(-x)))
 
 
-def _conditioned_sf(model: ValidatedModel, t: float) -> float:
+def _conditioned_sf(model: ValidatedModel, t: float, independent=False) -> float:
     """fsum over the sets D that the interaction shocks killed by t of P(D)
     * -expm1(sum_{i not in D} log q_i), q_i = -expm1(-lambda_i * theta_i(t))
     the chance that i failed by itself, log q_i = -inf where lambda_i *
     theta_i is 0 or 0 * inf: terms >= 0.  A dict holds P(D), {0: 1} alone
-    for a product model."""
+    for a product model or the `independent` side (the counterpart's value)."""
     killed = {0: 1.0}
-    for shock, _, rate in model.rates.interaction_members:
+    for shock, _, rate in () if independent else model.rates.interaction_members:
         fire, stay = -math.expm1(-rate * t), math.exp(-rate * t)
         grown: dict[int, float] = {}
         for dead, p in killed.items():
@@ -228,7 +233,7 @@ def _relative_to_independent(model: ValidatedModel, dep: float,
                              t: float) -> float:
     """(dep - ind) / ind, ind the independent counterpart's parallel
     survival at t (refused if 0); exactly 0 for a model with no dependence."""
-    ind = dep if model._is_product else _conditioned_sf(model._indep, t)
+    ind = dep if model._is_product else _conditioned_sf(model, t, True)
     if ind == 0.0:
         raise ZeroDenominatorError(
             f"independent-counterpart parallel sf is 0 at t={t}"

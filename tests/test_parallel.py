@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 from decimal import Decimal, localcontext
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,11 @@ from deperr import (
     validate_model,
 )
 from deperr.exceptions import ZeroDenominatorError
-from deperr.models import _joint_hazard
+from deperr.models import (_REDUCE, _combine, _coordinates, _joint_hazard,
+                           _parts, _quiet)
 from deperr.parallel import (
+    _HALF,
+    _ROWS,
     _conditioned_sf,
     _hazard_chunks,
     _ie_sum,
@@ -451,6 +455,116 @@ def test_ie_same_bytes_when_n_interleaves():
     small_first = _ie_bytes(small)
     assert _ie_bytes(big) == first
     assert _ie_bytes(small) == small_first
+
+
+def _per_chunk_hazard_chunks(model, x):
+    """The IE pass as it took the low half's parts once per chunk, with an
+    empty high half (one mask, no components) up to 12 components: the
+    reference for the pass that takes them once."""
+    n, join = model.n, _REDUCE.get(model.family, np.add)
+    bits = min(n, _HALF)
+    (index, signs), (top_index, tops) = _subsets(bits), _subsets(n - bits)
+    for start in range(0, tops.size, _ROWS):
+        top = slice(start, start + _ROWS)
+        with _quiet(model):
+            ends = [np.append(c, 0.0) for c in _coordinates(model, x)]
+            high = _parts(model, [e[bits:][top_index[top]] for e in ends], bits)
+            low = _parts(model, [e[index] for e in ends])
+            joined = (lo if hi is None else hi[:, None] if lo is None
+                      else ufunc(hi[:, None], lo)
+                      for ufunc, hi, lo in zip(chain([np.add], repeat(join)), high, low))
+            hazard = _combine(model, joined).ravel()
+        empty = int(start == 0)
+        yield hazard[empty:], np.multiply.outer(-tops[top], signs).ravel()[empty:]
+
+
+def _chunk_bytes(chunks):
+    return [(hazard.tobytes(), signs.tobytes()) for hazard, signs in chunks]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_low_half_once_is_the_per_chunk_pass(family, rng):
+    # the same chunks, to the byte, with and without a high half
+    models = [random_model(family, n, rng, require_interaction=n > 1)
+              for n in (1, 8, 12)]
+    models += [_split_model(family, n, rng) for n in (13, 14, 16)]
+    for m in models:
+        for t in (0.3, 1.0, 4.0, 1e200):
+            x = np.full(m.n, t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _chunk_bytes(_hazard_chunks(m, x))
+                assert got == _chunk_bytes(_per_chunk_hazard_chunks(m, x)), (m.n, t)
+
+
+@pytest.mark.parametrize("n", [13, 14, 16])
+def test_low_half_nan_products_stay_in_their_chunk(n):
+    # MG1's {1, 2, 3} lies in the low half: at 1e200 its product over a
+    # mask holding 1 and 2 but not 3 is inf * 0, a nan that `_combine`
+    # turns into 0 in place on the low part every chunk shares
+    rates = {(i,): 0.1 + 0.01 * i for i in range(1, n + 1)}
+    rates.update({(1, 2, 3): 1e-3, (2, n): 1e-2, tuple(range(1, n + 1)): 1e-9})
+    m = validate_model(ModelSpec("MG1", n, rates))
+    x = np.full(n, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _chunk_bytes(_hazard_chunks(m, x))
+        want = _chunk_bytes(_per_chunk_hazard_chunks(m, x))
+        assert got == want
+        assert parallel_sf_ie(m, 1e200).sf_ie == 0.0
+    assert not any(np.isnan(np.frombuffer(h)).any() for h, _ in got)
+
+
+INDEPENDENT_TIMES = (1e-300, 1e-6, 0.5, 2.0, 1e6, 1e200)
+
+
+def _odd_singletons_model(family, n, rng):
+    """A shock family with singleton rates on the odd components only, each
+    even component i failing by the shock {i - 1, i} alone, so that its
+    counterpart never fails (the CI's momw_shock.json at n = 2)."""
+    rates = {(i,): float(rng.uniform(0.05, 1.5)) for i in range(1, n + 1, 2)}
+    rates.update({(i - 1, i): float(rng.uniform(0.05, 1.5))
+                  for i in range(2, n + 1, 2)})
+    kw = {"MOMW": {"shapes": tuple(float(rng.uniform(0.6, 2.5))
+                                   for _ in range(n))},
+          "LeeML": {"alpha": 1.3, "scales": tuple(1.0 + 0.05 * i
+                                                  for i in range(n))}}
+    return validate_model(ModelSpec(family, n, rates, **kw.get(family, {})))
+
+
+def _relative_error_outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ZeroDenominatorError as exc:
+        return type(exc), str(exc)
+
+
+def _relative_to_counterpart(m, t):
+    """(dep - ind) / ind with ind the counterpart model's conditioned form,
+    as a row took it before the model's own rates served."""
+    dep, _ = _ie_sum(m, t)
+    ind = dep if m._is_product else _conditioned_sf(independent_counterpart(m), t)
+    if ind == 0.0:
+        raise ZeroDenominatorError(
+            f"independent-counterpart parallel sf is 0 at t={t}")
+    return (dep - ind) / ind
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_independent_side_is_the_counterparts_bit_for_bit(family, rng):
+    models = [random_model(family, n, rng, require_interaction=n > 1)
+              for n in range(1, 13)]
+    if family in ("MOME", "MOMW", "LeeML"):
+        models += [_odd_singletons_model(family, n, rng) for n in range(2, 13)]
+    for m in models:
+        for t in INDEPENDENT_TIMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ind = _conditioned_sf(independent_counterpart(m), t)
+                assert _conditioned_sf(m, t, True).hex() == ind.hex()
+                assert (_relative_error_outcome(parallel_relative_error, m, t)
+                        == _relative_error_outcome(_relative_to_counterpart, m, t)
+                        ), (m, t)
 
 
 # ---------------------------------------------------------------------------
