@@ -104,29 +104,32 @@ def _object(data, name: str, keys: set, required=(), prefix: str = "") -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{name} must be a JSON object")
     unknown = set(data) - keys
-    if unknown:
-        raise ConfigError(f"unknown {name} key(s): {sorted(unknown)}")
+    if unknown:  # by str: a library caller's keys need not be strings
+        raise ConfigError(f"unknown {name} key(s): {sorted(unknown, key=str)}")
     for key in required:
         if key not in data:
             raise ConfigError(f"{prefix}{key}: missing")
     return data
 
 
+def _rate_pairs(rates):
+    """Each entry of a JSON `rates` list as a (subset, lambda) pair, checked
+    as `SubsetRates.from_mapping` reads it."""
+    for e in rates if isinstance(rates, list) else [None]:  # None: refused
+        if not (isinstance(e, dict) and set(e) == {"subset", "lambda"}
+                and isinstance(e["subset"], list)):
+            raise ValidationError(
+                "rates: must be a list of {\"subset\": [...], \"lambda\": x}")
+        yield e["subset"], e["lambda"]
+
+
 def model_from_dict(data: dict) -> ValidatedModel:
     """Build and validate a model from its JSON representation."""
     _object(data, "model", _MODEL_KEYS, ("family", "n"))
-    rates = data.get("rates", [])
-    if not isinstance(rates, list) or not all(
-        isinstance(e, dict) and set(e) == {"subset", "lambda"}
-        and isinstance(e["subset"], list) for e in rates
-    ):
-        raise ConfigError(
-            "rates: must be a list of {\"subset\": [...], \"lambda\": x}"
-        )
     spec = ModelSpec(
         family=data["family"],
         n=data["n"],
-        rates=[(e["subset"], e["lambda"]) for e in rates],
+        rates=_rate_pairs(data.get("rates", [])),
         **{field: data.get(key) for field, key in _MODEL_FIELDS},
     )
     try:
@@ -153,10 +156,10 @@ def model_to_dict(model: ValidatedModel) -> dict:
 
 
 def _read_config(path):
-    """The JSON value in the config file at `path`."""
-    try:
-        with open(path) as file:  # Path.read_text would build a Path each run
-            text = file.read()
+    """The JSON value in the config file at `path`, whose bytes are UTF-8."""
+    try:  # unbuffered bytes: a text file's buffer and decoder cost more
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -284,14 +287,19 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> None:
-    """Execute the command, then rewrite the output CSV in place: no O_TRUNC,
-    which on ext4 flushes a rerun's data on close, and a regular file (not
-    /dev/null or a pipe, where ftruncate fails) is cut to the bytes written."""
+    """Execute the command, then rewrite the output CSV in place (os.write):
+    no O_TRUNC, which on ext4 flushes a rerun's data on close, and a regular
+    file (not /dev/null or a pipe, where ftruncate fails) is then cut."""
     data = _RUNNERS[config.command](config).encode()
-    with open(os.open(config.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
-        out.write(data)
-        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate()
+    fd = os.open(config.output, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # a pipe or a signal may take part of it
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

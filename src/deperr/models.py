@@ -102,37 +102,38 @@ class SubsetRates:
 
     @classmethod
     def from_mapping(cls, n: int, rates) -> "SubsetRates":
-        """Canonicalize a subset -> rate mapping, or (subset, rate) pairs."""
+        """Canonicalize a subset -> rate mapping, or (subset, rate) pairs,
+        each subset an int bitmask or an iterable of indices, in one walk."""
         canonical: dict[int, float] = {}
-        pairs = rates.items() if isinstance(rates, Mapping) else rates
-        try:  # pairs of two, each key an int bitmask or an iterable of indices
-            pairs = [(k, v) for k, v in pairs if is_integer(k) or iter(k)]
-        except (TypeError, ValueError) as exc:
+        try:
+            for key, value in rates.items() if isinstance(rates, Mapping) else rates:
+                if is_integer(key):
+                    mask = int(key)
+                    if mask <= 0 or mask >= (1 << n):
+                        raise ValidationError(
+                            f"rates[{key}]: bitmask outside nonempty subsets of 1..{n}"
+                        )
+                else:  # a key that is not iterable raises TypeError here
+                    mask = subset_to_mask(key, n)
+                    if mask == 0:
+                        raise ValidationError(f"rates[{key!r}]: empty subset")
+                try:
+                    rate = _real(value, "lambda")
+                    if not rate >= 0:
+                        raise ValidationError(f"negative rate {value}")
+                    if math.isinf(rate):
+                        raise ValidationError("lambda must be finite")
+                    if mask in canonical:
+                        raise ValidationError("duplicate subset")
+                except ValidationError as exc:  # name the subset on failure only
+                    subset = mask_to_subset(mask)
+                    raise ValidationError(f"rates[{subset}]: {exc}") from None
+                if rate > 0:
+                    canonical[mask] = rate
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # not pairs of two, or a bad key
             raise ValidationError(f"rates: not (subset, rate) pairs: {exc}") from None
-        for key, value in pairs:
-            if is_integer(key):
-                mask = int(key)
-                if mask <= 0 or mask >= (1 << n):
-                    raise ValidationError(
-                        f"rates[{key}]: bitmask outside nonempty subsets of 1..{n}"
-                    )
-            else:
-                mask = subset_to_mask(key, n)
-                if mask == 0:
-                    raise ValidationError(f"rates[{key!r}]: empty subset")
-            try:
-                rate = _real(value, "lambda")
-                if not rate >= 0:
-                    raise ValidationError(f"negative rate {value}")
-                if math.isinf(rate):
-                    raise ValidationError("lambda must be finite")
-                if mask in canonical:
-                    raise ValidationError("duplicate subset")
-            except ValidationError as exc:  # name the subset on failure only
-                subset = mask_to_subset(mask)
-                raise ValidationError(f"rates[{subset}]: {exc}") from None
-            if rate > 0:
-                canonical[mask] = rate
         return cls(n=n, items=tuple(sorted(canonical.items())))
 
     @cached_property
@@ -143,9 +144,9 @@ class SubsetRates:
     def singleton_vector(self) -> np.ndarray:
         """Per-component singleton rates lambda_i (zero when absent)."""
         vec = np.zeros(self.n)
-        for mask, rate in self.items:
-            if mask & (mask - 1) == 0:
-                vec[mask.bit_length() - 1] = rate
+        for members, (_, rate) in zip(self.members, self.items):
+            if len(members) == 1:
+                vec[members[0]] = rate
         return vec
 
     @cached_property
@@ -154,8 +155,9 @@ class SubsetRates:
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
-        """`mask_members` of each rated subset, in the order of `items`."""
-        return tuple(mask_members(mask) for mask, _ in self.items)
+        """`mask_members` of each rated subset in the order of `items`, once."""
+        return tuple(mask_members(mask) if mask & (mask - 1)
+                     else (mask.bit_length() - 1,) for mask, _ in self.items)
 
     @cached_property
     def flat_members(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +170,8 @@ class SubsetRates:
     @cached_property
     def interaction_members(self) -> tuple[tuple[int, np.ndarray, float], ...]:
         """(mask, 0-based members, rate) of each rated subset of size >= 2."""
-        return tuple((mask, np.array(mask_members(mask)), rate)
-                     for mask, rate in self.items if mask & (mask - 1))
+        return tuple((mask, np.array(members), rate) for members, (mask, rate)
+                     in zip(self.members, self.items) if len(members) > 1)
 
     def singletons_only(self) -> "SubsetRates":
         return SubsetRates(
@@ -364,13 +366,13 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         raise ValidationError(
             "rates: total rate exceeds the float range"
         ) from None
-    if family not in _REDUCE and any(mask & (mask - 1) for mask, _ in rates.items):
-        raise ValidationError(
-            f"rates: family {family.value} admits only singleton subsets"
-        )
     # rates are > 0: a component has zero total rate iff no subset holds it
     covered = 0
     for mask, _ in rates.items:
+        if mask & (mask - 1) and family not in _REDUCE:
+            raise ValidationError(
+                f"rates: family {family.value} admits only singleton subsets"
+            )
         covered |= mask
     for i in range(n):
         if not covered >> i & 1:

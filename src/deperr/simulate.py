@@ -35,7 +35,6 @@ from .models import (
     _metric_kind,
     _sf_value,
     _times,
-    mask_members,
     series_hazard,
 )
 
@@ -72,9 +71,10 @@ def _lifetime_blocks(model: ValidatedModel, draw_count: int, seed: int = 0):
         )
     if draw_count < 1:
         raise DomainError(f"draw_count must be >= 1, got {draw_count}")
+    rates = model.rates
     shocks = [
-        (mask_members(mask), lam, _subset_stream(seed, j))
-        for j, (mask, lam) in enumerate(model.rates.items)
+        (members, lam, _subset_stream(seed, j))
+        for j, (members, (_, lam)) in enumerate(zip(rates.members, rates.items))
     ]
     for start in range(0, draw_count, _BLOCK):
         rows = min(_BLOCK, draw_count - start)

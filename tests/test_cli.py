@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -101,6 +102,15 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(path)
+
+    def test_unknown_keys_named_whatever_their_type(self):
+        # a library caller's dict may mix key types: sorted by str, not by <
+        with pytest.raises(ConfigError) as exc:
+            model_from_dict({"family": "MOME", "n": 2, 1: 0, "x": 0})
+        assert str(exc.value) == "unknown model key(s): [1, 'x']"
+        with pytest.raises(ConfigError) as exc:
+            model_from_dict({"family": "MOME", "n": 2, "x": 0, "b": 0})
+        assert str(exc.value) == "unknown model key(s): ['b', 'x']"
 
     def test_missing_command_rejected(self, tmp_path):
         data = base_config(tmp_path)
@@ -549,8 +559,8 @@ class TestGolden:
         assert self.run_golden(name, tmp_path) == golden
 
     def test_parallel_rerun_matches_golden(self, tmp_path):
-        # the second run's model is a new object equal to the first's, and
-        # the counterpart cache returns the first: rel_err stays exactly 0
+        # the second run's model is a new object equal to the first's:
+        # rel_err stays exactly 0
         data = json.loads((DATA / "parallel_indep.json").read_text())
         golden = (GOLDEN / "parallel_indep.csv").read_bytes()
         for run in range(2):
@@ -558,6 +568,30 @@ class TestGolden:
             path = write_config(tmp_path, "parallel.json", data)
             assert main(["parallel", "--model", str(path)]) == EXIT_OK
             assert (tmp_path / f"run{run}.csv").read_bytes() == golden
+
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_short_writes_match_golden(self, name, tmp_path, monkeypatch):
+        # os.write may take part of the bytes (a pipe, a signal): the rest
+        # follows, and a rerun over a longer file is still cut to length
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        golden = (GOLDEN / f"{name}.csv").read_bytes()
+        assert self.run_golden(name, tmp_path) == golden
+        assert self.run_golden(name, tmp_path) == golden
+
+    def test_output_to_a_pipe_matches_golden(self, tmp_path):
+        # a pipe is no regular file: written whole, and not cut
+        data = json.loads((DATA / "parallel_indep.json").read_text())
+        read_end, write_end = os.pipe()
+        data["output"] = f"/dev/fd/{write_end}"
+        path = write_config(tmp_path, "parallel.json", data)
+        try:
+            assert main(["parallel", "--model", str(path)]) == EXIT_OK
+        finally:
+            os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            assert pipe.read() == (GOLDEN / "parallel_indep.csv").read_bytes()
 
 
 class TestArgumentParser:
