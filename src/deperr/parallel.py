@@ -233,7 +233,7 @@ def _relative_to_independent(model: ValidatedModel, dep: float,
                              t: float) -> float:
     """(dep - ind) / ind, ind the independent counterpart's parallel
     survival at t (refused if 0); exactly 0 for a model with no dependence."""
-    ind = dep if model._is_product else _conditioned_sf(model, t, True)
+    ind = dep if model._is_product else _conditioned_sf(model, t, independent=True)
     if ind == 0.0:
         raise ZeroDenominatorError(
             f"independent-counterpart parallel sf is 0 at t={t}"

@@ -561,7 +561,7 @@ def test_independent_side_is_the_counterparts_bit_for_bit(family, rng):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 ind = _conditioned_sf(independent_counterpart(m), t)
-                assert _conditioned_sf(m, t, True).hex() == ind.hex()
+                assert _conditioned_sf(m, t, independent=True).hex() == ind.hex()
                 assert (_relative_error_outcome(parallel_relative_error, m, t)
                         == _relative_error_outcome(_relative_to_counterpart, m, t)
                         ), (m, t)
