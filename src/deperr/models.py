@@ -290,8 +290,8 @@ class ValidatedModel:
 
         lambda_L = sum_S lambda_S * max_{i in S} c_i**alpha.
         """
-        cpow, rates = self._scale_powers, self.rates
-        return math.fsum(rate * max(cpow[i] for i in members)
+        cpow, rates = self._scale_powers.tolist(), self.rates
+        return math.fsum(rate * max(map(cpow.__getitem__, members))
                          for members, (_, rate) in zip(rates.members, rates.items))
 
 
@@ -451,16 +451,15 @@ def _quiet(model: ValidatedModel):
 
 
 def _parts(model: ValidatedModel, coords, lo: int = 0):
-    """The joint hazard's parts over `_coordinates` at one point (n,), or in
-    a batch (k, m) of components lo..lo + m - 1: the singleton sum (skipping
-    lambda_i = 0, as 0 * inf is nan), each shock's `_REDUCE` over its
-    members there, and LuBI's coupling sum; None for a part with nothing
-    in those components (no singleton rate, or no member of the shock)."""
+    """The joint hazard's parts over `_coordinates` in a batch (k, m) of
+    components lo..lo + m - 1: the singleton sum (zeros where none is rated;
+    lambda_i = 0 skipped, as 0 * inf is nan), each shock's `_REDUCE` over
+    its members there (None where it has none), and LuBI's coupling sum."""
     v, rates = coords[0], model.rates
     hi = lo + v.shape[-1]
     w = rates.singleton_vector[lo:hi]
     held = np.count_nonzero(w)
-    yield (None if not held else v @ w if held == w.size
+    yield (np.zeros(v.shape[:-1]) if not held else v @ w if held == w.size
            else v[..., w > 0] @ w[w > 0])
     reduce = _REDUCE.get(model.family)
     if reduce is not None:
@@ -476,15 +475,13 @@ def _parts(model: ValidatedModel, coords, lo: int = 0):
 
 
 def _combine(model: ValidatedModel, parts):
-    """The joint hazard from `_parts` (of one point, a batch or two joined
-    halves), each a shape that broadcasts to the result: the singleton sum
-    (None for none) plus lambda_T times each shock's reduce, 0 where MG1's
-    product met inf * 0 (nan); the Crowder/LeeII power gap of the sum; or
-    the sum plus LuBI's delta * u**m."""
+    """The joint hazard from `_parts` of a batch or two joined halves, each
+    broadcasting to the result: the singleton sum plus lambda_T times each
+    shock's reduce, 0 where MG1's product met inf * 0 (nan); the
+    Crowder/LeeII power gap of the sum; or the sum plus LuBI's delta * u**m."""
     h = next(parts)
     if model.family in _REDUCE:
         product = model.family is Family.MG1
-        h = 0.0 if h is None else h  # a model may rate shocks only
         for (_, _, rate), part in zip(model.rates.interaction_members, parts):
             h = h + rate * (np.fmax(part, 0.0, out=part) if product else part)
         return h
@@ -495,19 +492,40 @@ def _combine(model: ValidatedModel, parts):
     return h
 
 
+def _point_hazard(model: ValidatedModel, x: list) -> float:
+    """The joint hazard at one point of a model without shocks, on Python floats."""
+    shapes, s, u = model.shapes, 0.0, 0.0
+    coupled = model.family is Family.LU_BI and model.delta > 0.0
+    for mask, rate in model.rates.items:  # lambda_i > 0, so never 0 * inf
+        i = mask.bit_length() - 1
+        s += rate * (x[i] if shapes is None else x[i] ** shapes[i])
+        if coupled:
+            u += rate ** (1.0 / model.m) * x[i] ** (shapes[i] / model.m)
+    if model.family in (Family.CROWDER, Family.LEE_II):
+        return power_gap(model.gamma, s, model.stable_exponent)
+    return s + model.delta * u**model.m if coupled else s
+
+
 def _joint_hazard(model: ValidatedModel, x: np.ndarray):
     """Joint cumulative hazard -ln F_bar(x_1,...,x_n).
 
-    `x` is one point of shape (n,), giving a numpy float (every rated
-    subset's reduce in one `reduceat`), or a batch of shape (k, n), giving
-    a (k,) array: `_combine` of `_parts`.  A power, sum or product beyond
-    the float range is inf, quietly, and so is the hazard at an inf
-    coordinate of a component that fails in finite time.
+    `x` is one point of shape (n,), giving a float, or a batch of shape
+    (k, n), giving a (k,) array: `_combine` of `_parts`.  One point of a
+    model without interaction shocks is `_point_hazard` (a batch of one
+    where that overflows); a shock model's work grows with its rated
+    subsets, up to 2^n, so it keeps one `reduceat` over them.  A power,
+    sum or product beyond the float range is inf, quietly, and so is the
+    hazard at an inf coordinate of a component that fails in finite time.
     """
     reduce = _REDUCE.get(model.family)
+    if x.ndim == 1 and reduce is None:
+        try:
+            return _point_hazard(model, x.tolist())
+        except OverflowError:  # Python's **, where numpy's is inf
+            return float(_joint_hazard(model, x[None])[0])
     with _quiet(model):
         coords = _coordinates(model, x)
-        if x.ndim > 1 or reduce is None:
+        if x.ndim > 1:
             return _combine(model, _parts(model, coords))
         flat, starts = model.rates.flat_members
         parts = reduce.reduceat(coords[0][flat], starts)
@@ -519,14 +537,16 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
     """Joint survival probability P(X_1 > x_1, ..., X_n > x_n), a float.
 
     Where the joint hazard leaves the float range it is 0.0, quietly, as
-    at an inf coordinate of a component that fails in finite time.
+    at an inf coordinate of a component that fails in finite time.  A model
+    without interaction shocks sums it on Python floats; a shock model's work
+    grows with its rated subsets, up to 2^n, so it keeps numpy's `reduceat`.
     """
     vec = np.asarray(x, dtype=float)
     if vec.shape != (model.n,):
         raise DomainError(
             f"x must have length {model.n}, got shape {vec.shape}"
         )
-    if not (vec >= 0).all():  # also catches NaN
+    if not all(v >= 0.0 for v in vec.tolist()):  # also catches NaN
         raise DomainError("x coordinates must be nonnegative")
     return clamp_unit(math.exp(-_joint_hazard(model, vec)))
 
@@ -643,16 +663,21 @@ def series_hazard(model: ValidatedModel, t):
     quietly; a root of a sum that is inf, or 0, at a finite t > 0 (Crowder,
     LeeII, LuBI) raises DomainError.
 
-    A float t's pair is kept on the model until its next float t, so the
-    metrics and errors at one t evaluate each side once.
+    A float t's pair is kept on the model until its next float t, a stencil
+    point off t excepted, so one t's metrics and errors evaluate each side once.
     """
     t = _times(t)
     if isinstance(t, np.ndarray):
         with np.errstate(over="ignore"):  # the array path's one overflow rule
             return _kernel(model, t)
     last = model.__dict__.get("_last_hazard")  # beside cached_property's values
-    if last is not None and last[0] == t:
-        return last[1]
+    if last is None or last[0] != t:  # kept only once it returns
+        last = model.__dict__["_last_hazard"] = t, _float_hazard(model, t)
+    return last[1]
+
+
+def _float_hazard(model: ValidatedModel, t: float) -> tuple[float, float]:
+    """`series_hazard` at a checked float t, keeping nothing."""
     h = dh = math.inf  # t = inf takes the array path
     if t < math.inf:  # Python's ** raises where numpy's gives inf quietly
         try:
@@ -662,7 +687,6 @@ def series_hazard(model: ValidatedModel, t):
     if not h + dh < math.inf:  # inf or nan: retry as a one-point array
         with np.errstate(over="ignore"):
             h, dh = (float(v[0]) for v in _kernel(model, np.array([t])))
-    model.__dict__["_last_hazard"] = t, (h, dh)  # never a t that raised
     return h, dh
 
 

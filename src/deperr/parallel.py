@@ -100,7 +100,7 @@ def _hazard_chunks(model: ValidatedModel, x: np.ndarray):
     of `_ROWS` high masks, each `_parts` of the high half (rows,) is joined
     to them by np.add (the singleton sums, LuBI's u) or the family's
     `_REDUCE` (a shock's), a part one half holds none of (None) being the
-    other's.  Every component is in a rated subset: a part spans the masks."""
+    other's.  The singleton sums, zeros where none is rated, span the masks."""
     n, join = model.n, _REDUCE.get(model.family, np.add)
     bits = min(n, _HALF)
     (index, signs), (top_index, tops) = _subsets(bits), _subsets(n - bits)

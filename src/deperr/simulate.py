@@ -32,6 +32,7 @@ from .models import (
     Family,
     MetricKind,
     ValidatedModel,
+    _float_hazard,
     _metric_kind,
     _sf_value,
     _times,
@@ -129,10 +130,10 @@ def estimate_system_sf(
 # ---------------------------------------------------------------------------
 
 
-def _checked_sf(model: ValidatedModel, t: float) -> float:
+def _checked_sf(model: ValidatedModel, t: float, hazard) -> float:
     # A subnormal SF (H > 708) has lost relative precision, so it and its
     # log are too coarse to difference; treat it like an underflow to 0.
-    sf = _sf_value(series_hazard(model, t)[0])  # as series_metric gives it
+    sf = _sf_value(hazard(model, _times(t))[0])  # as series_metric gives it
     if sf < sys.float_info.min or sf >= 1.0:
         raise SingularityError(
             f"series survival saturates at t={t}; shrink the stencil or move t"
@@ -170,7 +171,7 @@ def finite_diff_metric(
         d = [(f(t + hh) - f(t - hh)) / (2.0 * hh) for hh in (h, h / 2)]
         return (4.0 * d[1] - d[0]) / 3.0
 
-    sf = lambda u: _checked_sf(model, u)
+    sf = lambda u: _checked_sf(model, u, series_hazard if u == t else _float_hazard)
     if metric is MetricKind.RHR:  # f(t) / F(t), differencing the SF for f
         return -derivative(sf) / (1.0 - sf(t))
     fr = derivative(lambda u: -math.log(sf(u)))

@@ -18,6 +18,7 @@ import pytest
 
 from deperr import (
     DomainError,
+    SingularityError,
     MetricKind,
     ModelSpec,
     closed_form_error,
@@ -28,6 +29,7 @@ from deperr import (
 )
 from deperr import models
 from deperr.models import independent_counterpart
+from deperr.simulate import finite_diff_metric
 
 from conftest import ALL_FAMILIES, random_model
 
@@ -109,6 +111,45 @@ def test_one_kernel_evaluation_per_model_and_t(monkeypatch):
             closed_form_error(m, metric, t)
         assert len(calls) == 2 * k, f"{len(calls)} kernel evaluations at t={t}"
     assert calls[:2] == [m, m._indep] or calls[:2] == [m._indep, m]
+
+
+def attempt(fn, *args):
+    """fn(*args), or the class of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by class
+        return type(exc)
+
+
+ERRORS = [(fn, metric) for metric in MetricKind
+          for fn in (relative_error, closed_form_error)]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_stencil_points_leave_the_pair(family, rng, monkeypatch):
+    # FD FR's four stencil points off t leave t's pair kept, so the errors
+    # at t read it: t once and the four points, not t again after them
+    cases = [(random_model(family, n, rng), t) for n, t in ((2, 0.7), (4, 2.3))]
+    if family is models.Family.MG1:  # at 1.896e154 t + h takes the array retry
+        cases += [(validate_model(MG1_TOP), t) for t in (1.5e154, 1.896e154)]
+    calls = []
+    kernel = models._kernel
+    monkeypatch.setattr(models, "_kernel",
+                        lambda model, t: calls.append(model) or kernel(model, t))
+    for m, t in cases:
+        independent_counterpart.cache_clear()
+        fresh = lambda: dataclasses.replace(m)  # values with no kept pair
+        want = [series_hazard(fresh(), t),
+                attempt(finite_diff_metric, fresh(), "fr", t)]
+        want += [attempt(fn, fresh(), metric, t) for fn, metric in ERRORS]
+        calls.clear()
+        got = [series_hazard(m, t), attempt(finite_diff_metric, m, "fr", t)]
+        stencil_runs = sum(model is m for model in calls)
+        got += [attempt(fn, m, metric, t) for fn, metric in ERRORS]
+        assert got == want, (m, t)
+        assert stencil_runs == 5 or got[1] is SingularityError, (m, t)
+        assert sum(model is m for model in calls) == stencil_runs, (m, t)
+        assert m.__dict__["_last_hazard"] == (t, want[0])
 
 
 def test_a_model_holding_a_pair_is_like_any_other():

@@ -1,5 +1,6 @@
 """Model validation, joint survival, and series metrics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -19,12 +20,14 @@ from deperr import (
     closed_form_error,
     independent_counterpart,
     joint_sf,
+    parallel_sf_ie,
     relative_error,
     series_hazard,
     series_metric,
     validate_model,
 )
-from deperr.models import _joint_hazard, mask_members, mask_to_subset
+from deperr.models import (SubsetRates, _joint_hazard, mask_members,
+                           mask_to_subset)
 from deperr.simulate import finite_diff_metric
 
 from conftest import ALL_FAMILIES, random_model
@@ -56,6 +59,44 @@ PARAM_VALUES = {"shapes": (1.5, 2.0), "gamma": 0.5, "stable_exponent": 0.5,
 FOREIGN = [(family, field) for family, params in VALID_PARAMS.items()
            for field in PARAM_VALUES if field not in params]
 assert len(FOREIGN) == 50
+NO_SHOCK = [Family.INDEP_EXP, Family.INDEP_WEIBULL, Family.CROWDER,
+            Family.LEE_II, Family.LU_BI]
+# the parameters of each family whose counterpart may rate nothing
+SHOCK_ONLY = {"MOME": {}, "MG1": {}, "MOMW": {"shapes": (1.5, 2.0, 0.8, 1.2)},
+              "LeeML": {"alpha": 1.5, "scales": (1.0, 2.0, 0.5, 1.5)}}
+
+
+def unrated_counterparts():
+    """Counterparts with no rated subset at n = 1..4: those of MOME, MG1,
+    MOMW and LeeML models rating one shock on every component, and at
+    n = 1, which has no shock, the n = 2 one cut to its first component."""
+    out = []
+    for family, params in SHOCK_ONLY.items():
+        for n in range(1, 5):
+            k = max(n, 2)
+            cut = {key: v[:k] if isinstance(v, tuple) else v
+                   for key, v in params.items()}
+            c = independent_counterpart(validate_model(ModelSpec(
+                family, k, {tuple(range(1, k + 1)): 0.7}, **cut)))
+            if n == 1:
+                c = dataclasses.replace(c, n=1, rates=SubsetRates(1, ()), **{
+                    f: getattr(c, f)[:1] for f in ("shapes", "scales")
+                    if getattr(c, f) is not None})
+            assert c.n == n and not c.rates.items
+            out.append(c)
+    return out
+
+
+# one-point hazards where Python's ** overflows and numpy's gives inf
+OVERFLOW_POINTS = [
+    (ModelSpec("IndepWeibull", 2, {(1,): 1.0, (2,): 1.0}, shapes=(2.0, 1.5)),
+     [1e200, 1.0]),
+    # the true SF is about 0.22: ROADMAP item 8 owns the root of an inf sum
+    (ModelSpec("Crowder", 1, {(1,): 1.0}, shapes=(2.0,), gamma=1.0,
+               stable_exponent=0.001), [1e200]),
+    (ModelSpec("LuBI", 1, {(1,): 1.0}, shapes=(2.0,), delta=0.5, m=2.0),
+     [1e160]),
+]
 
 
 class TestValidation:
@@ -231,6 +272,21 @@ class TestJointSF:
                                      scales=(1.0, 2.0)))
         assert joint_sf(independent_counterpart(m), [1.0, 2.0]) == 1.0
 
+    def test_every_counterpart_with_no_rated_subset_never_fails(self):
+        # joint_sf raised TypeError for IndepExp and IndepWeibull here, and
+        # parallel_sf_ie AttributeError, or TypeError for LeeML
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in unrated_counterparts():
+                for t in (1e-300, 1.0, 1e200, math.inf):
+                    assert joint_sf(c, [t] * c.n) == 1.0, (c, t)
+                    assert parallel_sf_ie(c, t).sf_ie == 1.0, (c, t)
+                    assert series_metric(c, "sf", t) == 1.0, (c, t)
+            # above 12 components, a high half rating nothing: a ValueError
+            rates = {(i,): 0.1 + 0.02 * i for i in range(1, 13)}
+            c = independent_counterpart(mome({**rates, (12, 13, 14): 0.3}, n=14))
+            assert parallel_sf_ie(c, 2.0).sf_ie == 1.0
+
     def test_componentwise_nonincreasing(self, rng):
         for family in ALL_FAMILIES:
             m = random_model(family, 3, rng)
@@ -242,16 +298,40 @@ class TestJointSF:
                 assert joint_sf(m, bumped) <= joint_sf(m, x) + 1e-12
 
     def test_batch_matches_rows(self, rng):
-        # The batch path sums singletons before larger subsets, the
-        # one-point path in subset order: equal up to a few roundings.
+        # The batch path sums singletons before larger subsets, by numpy;
+        # one point sums in subset order, on Python floats for a model
+        # without shocks, and as a batch of one where Python's ** overflows:
+        # equal up to a few roundings, and exactly where 0 or inf.
+        def points(m, k):
+            x = rng.uniform(0.0, 3.0, size=(k, m.n))
+            x[rng.random(x.shape) < 0.3] = 0.0
+            return x
+
+        cases = []
         for family in ALL_FAMILIES:
             m = random_model(family, 5, rng)
-            x = rng.uniform(0.0, 3.0, size=(40, 5))
-            x[rng.random(x.shape) < 0.3] = 0.0
-            batch = _joint_hazard(m, x)
-            assert batch.shape == (40,)
-            rows = np.array([_joint_hazard(m, row) for row in x])
-            np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0)
+            cases.append((m, points(m, 40)))
+        for m in [random_model(family, n, rng) for family in NO_SHOCK
+                  for n in range(1, 13)] + unrated_counterparts():
+            x = points(m, 8)
+            x[rng.random(x.shape) < 0.1] = 1e-300
+            cases.append((m, x))
+        cases += [(validate_model(spec), np.array([x]))
+                  for spec, x in OVERFLOW_POINTS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, x in cases:
+                batch = _joint_hazard(m, x)
+                assert batch.shape == (len(x),)
+                rows = np.array([_joint_hazard(m, row) for row in x])
+                np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0.0,
+                                           err_msg=repr(m))
+        for spec, x in OVERFLOW_POINTS:  # the batch's inf: quietly 0.0
+            m = validate_model(spec)
+            assert _joint_hazard(m, np.array(x)) == math.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert joint_sf(m, x) == 0.0
 
 
 class TestSeriesMetrics:
@@ -387,6 +467,16 @@ class TestCounterpartAndAggregates:
                       alpha=1.0, scales=(1.0, 1.0))
         )
         assert m._lee_total == pytest.approx(3.0)
+
+    def test_lee_total_bits(self, rng):
+        # read from a list of c_i**alpha, as from the numpy array it was
+        for n in range(1, 13):
+            m = random_model("LeeML", n, rng)
+            cpow = m._scale_powers
+            numpy_indexed = math.fsum(
+                rate * max(cpow[i] for i in members)
+                for members, (_, rate) in zip(m.rates.members, m.rates.items))
+            assert m._lee_total.hex() == numpy_indexed.hex()
 
     def test_aggregate_inequalities(self, rng):
         for _ in range(10):

@@ -291,7 +291,8 @@ class TestFiniteDifference:
 
     def test_kernel_evaluations_per_metric(self, monkeypatch):
         # the four stencil points, and t for AI's H and RHR's CDF: RHR
-        # differences the SF alone, not FR's log SF as well
+        # differences the SF alone, not FR's log SF as well; t's pair is
+        # the one kept
         calls = []
         kernel = models._kernel
         monkeypatch.setattr(models, "_kernel",
@@ -299,8 +300,11 @@ class TestFiniteDifference:
         spec = ModelSpec("MOME", 2, {(1,): 1.0, (2,): 0.5, (1, 2): 0.3})
         for metric, count in (("rhr", 5), ("fr", 4), ("ai", 5)):
             calls.clear()
-            finite_diff_metric(validate_model(spec), metric, 1.3)
+            m = validate_model(spec)
+            finite_diff_metric(m, metric, 1.3)
             assert len(calls) == count, (metric, calls)
+            if metric != "fr":
+                assert m.__dict__["_last_hazard"][0] == 1.3, metric
 
     def test_sf_not_supported(self, rng):
         m = random_model("MOME", 2, rng)
