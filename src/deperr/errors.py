@@ -57,7 +57,8 @@ def _expm1(x: float) -> float:
 # Per-point relative error from the hazards (H_d, H_d', H_i, H_i'); none
 # raises: inf beyond the float range, nan at inf/inf, 0/0 or a 0 divisor.
 # AI takes the ratio of the ratios H'/H where a product is inf, all four
-# hazards are finite and > 0 and H_i'/H_i is not 0.
+# hazards are finite and > 0 and H_i'/H_i is not 0; it is nan where H_d is
+# inf, as the dependent AI is there.
 _ERROR_FROM_HAZARDS = {
     MetricKind.SF: lambda hd, dhd, hi, dhi: _expm1(hi - hd),
     MetricKind.FR: lambda hd, dhd, hi, dhi: dhd / dhi - 1.0 if dhi else math.nan,
@@ -67,7 +68,7 @@ _ERROR_FROM_HAZARDS = {
         n / d - 1.0 if (n := dhd * hi) + (d := dhi * hd) < math.inf and d
         else (dhd / hd) / r - 1.0 if math.inf in (n, d)
         and all(0.0 < h < math.inf for h in (hd, dhd, hi, dhi)) and (r := dhi / hi)
-        else n / d - 1.0 if d else math.nan),
+        else n / d - 1.0 if d and hd < math.inf else math.nan),
 }
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError, ValidationError
-from .numerics import clamp_unit, each, is_integer, power_gap
+from .numerics import each, is_integer, power_gap
 
 MAX_COMPONENTS = 24
 
@@ -172,14 +172,6 @@ class SubsetRates:
         """(mask, 0-based members, rate) of each rated subset of size >= 2."""
         return tuple((mask, np.array(members), rate) for members, (mask, rate)
                      in zip(self.members, self.items) if len(members) > 1)
-
-    def singletons_only(self) -> "SubsetRates":
-        return SubsetRates(
-            n=self.n,
-            items=tuple(
-                (mask, rate) for mask, rate in self.items if mask.bit_count() == 1
-            ),
-        )
 
 
 @dataclass
@@ -458,9 +450,7 @@ def _parts(model: ValidatedModel, coords, lo: int = 0):
     v, rates = coords[0], model.rates
     hi = lo + v.shape[-1]
     w = rates.singleton_vector[lo:hi]
-    held = np.count_nonzero(w)
-    yield (np.zeros(v.shape[:-1]) if not held else v @ w if held == w.size
-           else v[..., w > 0] @ w[w > 0])
+    yield v @ w if w.all() else v[..., w > 0] @ w[w > 0]
     reduce = _REDUCE.get(model.family)
     if reduce is not None:
         cols = v.T
@@ -470,8 +460,8 @@ def _parts(model: ValidatedModel, coords, lo: int = 0):
             a, b = (mask & below_lo).bit_count(), (mask & below_hi).bit_count()
             yield (reduce.reduce(cols[members[a:b] - lo if lo else members[a:b]], axis=0)
                    if a < b else None)
-    if len(coords) > 1:
-        yield coords[1] @ w ** (1.0 / model.m) if held else None
+    if len(coords) > 1:  # LuBI rates every component alone
+        yield coords[1] @ w ** (1.0 / model.m)
 
 
 def _combine(model: ValidatedModel, parts):
@@ -548,7 +538,7 @@ def joint_sf(model: ValidatedModel, x: Sequence[float]) -> float:
         )
     if not all(v >= 0.0 for v in vec.tolist()):  # also catches NaN
         raise DomainError("x coordinates must be nonnegative")
-    return clamp_unit(math.exp(-_joint_hazard(model, vec)))
+    return math.exp(-_joint_hazard(model, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +701,6 @@ def _kernel(model: ValidatedModel, t):
     return s, ds  # IndepExp, MOME, MG1, LeeML, IndepWeibull, LuBI at delta 0
 
 
-def _sf_value(h: float) -> float:
-    return clamp_unit(math.exp(-h))
-
-
 def _rhr_value(h: float, dh: float) -> float:
     # RHR = H' / (exp(H) - 1); for very large H the denominator overflows,
     # but the limit is H'*exp(-H) which underflows to 0 consistently; at
@@ -729,7 +715,7 @@ def _rhr_value(h: float, dh: float) -> float:
 def _metric_values(metric: MetricKind, t, h, dh):
     """A series metric from the hazard pair (h, dh) at t: floats or arrays."""
     if metric is MetricKind.SF:
-        return each(_sf_value, h)
+        return each(math.exp, -h)
     if metric is MetricKind.FR:
         return dh
     bad = _first_where(t, h <= 0.0)
@@ -770,26 +756,21 @@ def series_metric(model: ValidatedModel, metric: MetricKind, t):
 def independent_counterpart(model: ValidatedModel) -> ValidatedModel:
     """The same model with all dependence (interaction) structure removed.
 
-    Marshall-Olkin style families keep their singleton rates; the
-    positive-stable family degenerates to independent Weibull marginals;
-    the additive-interaction family drops its interaction weight.
-    Idempotent by construction.
+    A model without dependence is its own counterpart, unless its family
+    has interaction shocks.  Otherwise LuBI drops its interaction weight
+    delta, LeeML keeps its family on its singleton rates, and every other
+    family becomes IndepExp, or IndepWeibull where it has shapes, on its
+    singleton rates.  Idempotent by construction.
     """
     fam = model.family
     if model._is_product and fam not in (Family.MOME, Family.MG1, Family.MOMW):
         return model  # no dependence, and the family needs no change
-    singles = model.rates.singletons_only()
-    if fam in (Family.MOME, Family.MG1):
-        return ValidatedModel(family=Family.INDEP_EXP, n=model.n, rates=singles)
-    if fam in (Family.MOMW, Family.CROWDER, Family.LEE_II):
-        return ValidatedModel(
-            family=Family.INDEP_WEIBULL,
-            n=model.n,
-            rates=singles,
-            shapes=model.shapes,
-        )
-    if fam is Family.LEE_ML:
-        return replace(model, rates=singles)
     if fam is Family.LU_BI:
         return replace(model, delta=0.0)
-    raise AssertionError(f"unhandled family {fam}")
+    singles = SubsetRates(model.n, tuple(
+        (mask, rate) for mask, rate in model.rates.items if mask.bit_count() == 1))
+    if fam is Family.LEE_ML:
+        return replace(model, rates=singles)
+    return ValidatedModel(
+        family=Family.INDEP_EXP if model.shapes is None else Family.INDEP_WEIBULL,
+        n=model.n, rates=singles, shapes=model.shapes)

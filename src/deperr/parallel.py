@@ -135,7 +135,7 @@ def _ie_sum(model: ValidatedModel, t: float) -> tuple[float, float]:
 
     def terms():
         for hazard, signs in _hazard_chunks(model, np.full(model.n, t)):
-            sf = np.minimum(np.exp(-hazard), 1.0)
+            sf = np.exp(-hazard)
             weight = 3.0 + kappa * np.where(sf > 0.0, hazard, 0.0)
             weighted.append(float(np.dot(sf, weight)))
             yield (signs * sf).tolist()

@@ -34,7 +34,6 @@ from .models import (
     ValidatedModel,
     _float_hazard,
     _metric_kind,
-    _sf_value,
     _times,
     series_hazard,
 )
@@ -133,7 +132,7 @@ def estimate_system_sf(
 def _checked_sf(model: ValidatedModel, t: float, hazard) -> float:
     # A subnormal SF (H > 708) has lost relative precision, so it and its
     # log are too coarse to difference; treat it like an underflow to 0.
-    sf = _sf_value(hazard(model, _times(t))[0])  # as series_metric gives it
+    sf = math.exp(-hazard(model, t)[0])  # as series_metric gives it
     if sf < sys.float_info.min or sf >= 1.0:
         raise SingularityError(
             f"series survival saturates at t={t}; shrink the stencil or move t"
@@ -153,8 +152,7 @@ def finite_diff_metric(
     metric = _metric_kind(metric)
     if metric is MetricKind.SF:
         raise DomainError("finite differences target FR, RHR, or AI, not SF")
-    if not t > 0:
-        raise DomainError(f"t must be > 0, got {t}")
+    t = _times(t)
     h = min(max(1e-4 * t, 1e-8), 0.5 * t)
     # The MOMW diagonal hazard switches exponents at t = 1, so its FR jumps
     # there; a stencil that would straddle 1 stays on t's side of it.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from deperr import (
     DomainError,
     ErrorPoint,
+    Family,
     GridSpec,
     MetricKind,
     ModelSpec,
@@ -39,6 +41,15 @@ from deperr.simulate import finite_diff_metric
 from conftest import ALL_FAMILIES, random_model
 
 METRICS = list(MetricKind)
+FLOAT_MAX = float(np.finfo(float).max)
+# models whose H_d overflows where H_i stays finite at the top of the range
+HD_INF = [
+    ModelSpec("MOME", 2, {(1,): 0.1, (1, 2): 1.9}),
+    ModelSpec("MOMW", 2, {(1,): 0.1, (1, 2): 1.9}, shapes=(1.0, 1.0)),
+    ModelSpec("LeeML", 2, {(1,): 0.1, (1, 2): 1.9}, alpha=1.0,
+              scales=(1.0, 1.0)),
+    ModelSpec("MG1", 2, {(1,): 0.1, (2,): 0.1, (1, 2): 0.005}),
+]
 
 
 def mome(rates, n=2):
@@ -151,6 +162,43 @@ class TestRelativeError:
                     assert np.all(fn(m, MetricKind.AI, t) == 1.0)
                 for t in (1.5e154, np.array([1.5e154])):
                     assert fn(m, MetricKind.AI, t) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("spec,t", [
+        (HD_INF[0], 1e308), (HD_INF[0], FLOAT_MAX), (HD_INF[1], 1e308),
+        (HD_INF[2], FLOAT_MAX), (HD_INF[3], 2.5e155)],
+        ids=["MOME", "MOME-max", "MOMW", "LeeML-max", "MG1"])
+    def test_ai_where_the_dependent_hazard_overflows(self, spec, t):
+        # H_d = inf, where the dependent AI is inf/inf, while H_i is finite:
+        # the error read H_d' * H_i / inf - 1 = -1.0; it is undefined
+        m = validate_model(spec)
+        assert series_hazard(m, t)[0] == math.inf
+        assert series_hazard(independent_counterpart(m), t)[0] < math.inf
+        for u in (t, np.array([1.0, t])):
+            with pytest.raises(SingularityError, match=re.escape(f"0/0 at t={t}")):
+                relative_error(m, MetricKind.AI, u)
+        if m.family is Family.MG1:  # its closed AI defers to the generic there
+            with pytest.raises(SingularityError, match=re.escape(f"t={t}")):
+                closed_form_error(m, MetricKind.AI, t)
+        assert error_curve(m, MetricKind.AI, [1.0, t]).rel_err[1] is None
+
+    def test_undefined_metric_means_undefined_error(self, rng):
+        # wherever either side's metric is refused, so is the error
+        models = [random_model(family, n, rng) for family in ALL_FAMILIES
+                  for n in (2, 4)] + [validate_model(s) for s in HD_INF]
+        grid = np.geomspace(1e-300, 1e308, 40).tolist() + [FLOAT_MAX]
+
+        def refused(model, metric, t):
+            try:
+                series_metric(model, metric, t)
+            except DomainError:
+                return True
+            return False
+
+        for m, metric, t in itertools.product(models, METRICS, grid):
+            if refused(m, metric, t) or refused(
+                    independent_counterpart(m), metric, t):
+                with pytest.raises(DomainError):
+                    relative_error(m, metric, t)
 
     def test_crowder_closed_ai_where_slope_times_sum_overflows(self):
         # at 1e154 slope * s = 2e308 overflows where slope * (s / h) = 2

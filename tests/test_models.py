@@ -1,6 +1,7 @@
 """Model validation, joint survival, and series metrics."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -429,6 +430,46 @@ class TestCounterpartAndAggregates:
             m = random_model(family, 3, rng)
             c = independent_counterpart(m)
             assert independent_counterpart(c) == c
+
+    # each family's counterpart family; a family added later has no entry
+    COUNTERPART = {
+        Family.INDEP_EXP: Family.INDEP_EXP, Family.MOME: Family.INDEP_EXP,
+        Family.MG1: Family.INDEP_EXP, Family.INDEP_WEIBULL: Family.INDEP_WEIBULL,
+        Family.MOMW: Family.INDEP_WEIBULL, Family.CROWDER: Family.INDEP_WEIBULL,
+        Family.LEE_II: Family.INDEP_WEIBULL, Family.LEE_ML: Family.LEE_ML,
+        Family.LU_BI: Family.LU_BI,
+    }
+
+    def test_counterpart_rule_per_family(self, rng):
+        # the family above on the model's singleton rates and shapes; LeeML
+        # keeps alpha and the scales, LuBI m with delta = 0, and every other
+        # field is unset; the model itself where it is already that model
+        # (IndepExp, IndepWeibull, LeeML without shocks, LuBI at delta = 0),
+        # a new model for product MOME, MG1 and MOMW.  The cache is cleared,
+        # as it returns an equal model cached by an earlier test.
+        independent_counterpart.cache_clear()
+        for family in Family:
+            target = self.COUNTERPART[family]
+            for n, shocks in itertools.product(range(1, 7), (True, False)):
+                m = random_model(family, n, rng, require_interaction=shocks)
+                cases = [m, dataclasses.replace(m, delta=0.0)] if (
+                    family is Family.LU_BI and shocks) else [m]
+                for m in cases:
+                    c = independent_counterpart(m)
+                    kept = {"family": target, "n": n, "shapes": m.shapes,
+                            "rates": SubsetRates(n, tuple(
+                                (mask, rate) for mask, rate in m.rates.items
+                                if mask.bit_count() == 1))}
+                    if target is family:
+                        kept.update(alpha=m.alpha, scales=m.scales, m=m.m,
+                                    delta=0.0 if m.delta is not None else None)
+                    for field in dataclasses.fields(c):
+                        assert getattr(c, field.name) == kept.get(field.name), (
+                            family, n, shocks, field.name)
+                    itself = family in (Family.INDEP_EXP, Family.INDEP_WEIBULL) or (
+                        family is Family.LEE_ML and len(m.rates.items) == n) or (
+                        family is Family.LU_BI and m.delta == 0.0)
+                    assert (c is m) is itself, (family, n, shocks)
 
     def test_indep_exp_fixed_point(self):
         m = validate_model(ModelSpec("IndepExp", 2, {(1,): 1.0, (2,): 2.0}))
